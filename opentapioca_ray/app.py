@@ -6,7 +6,7 @@ Endpoints:
 
 Online serving is single-document and latency-bound, so the handler calls
 the tagging/classification kernels directly in-process (the same functions
-the Ray batch pipeline distributes via map_batches/map_groups); module
+the Ray batch pipeline runs per batch / per coarse partition); module
 state mirrors the reference's module-level singletons (app.py:20-32). The
 batch path for corpora is `pipelines.annotate.annotate`.
 """
@@ -21,8 +21,9 @@ from urllib.parse import parse_qs, urlparse
 import pandas as pd
 
 from opentapioca_ray.functions.nif import mention_json_rows, to_nif_turtle
-from opentapioca_ray.stages.classify import ClassifierParams, make_classify_group_fn
+from opentapioca_ray.stages.classify import ClassifierParams, classify_partition_vectorized
 from opentapioca_ray.stages.tagger import EntityCatalog, TAGS_SCHEMA, tag_document
+from opentapioca_ray.state.linear import LinearModel
 
 
 class AnnotationService:
@@ -36,17 +37,15 @@ class AnnotationService:
         self.graph = graph
         self.params = params or ClassifierParams()
         self.model_dict = model_dict
-        self._classify = (
-            make_classify_group_fn(model_dict, self.params) if model_dict else None
-        )
+        self.model = LinearModel.from_dict(model_dict) if model_dict else None
 
     def annotate(self, text: str, doc_id: str = "request") -> dict:
         rows = tag_document(doc_id, text, self.catalog, self.bow, self.graph)
         if not rows:
             return {"text": text, "annotations": []}
         tags_df = pd.DataFrame(rows, columns=[f.name for f in TAGS_SCHEMA])
-        if self._classify is not None:
-            result = self._classify(tags_df)
+        if self.model is not None:
+            result = classify_partition_vectorized(tags_df, self.model, self.params)
         else:
             # untagged fallback: every candidate kept, top-rank wins.
             # Exactly ONE winner per (start, end): rank ties break on qid so

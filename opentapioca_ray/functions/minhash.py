@@ -123,26 +123,11 @@ def shingle_hashes_from_flat(
     return out
 
 
-def minhash_signature(hashes: np.ndarray, num_perm: int = 128) -> np.ndarray:
-    """(a_i * h + b_i) mod p, min over the shingle set; empty -> p."""
-    if len(hashes) == 0:
-        return np.full(num_perm, _MERSENNE, dtype=np.uint64)
-    a = _A[:num_perm, None]
-    b = _B[:num_perm, None]
-    h = hashes[None, :].astype(np.uint64)
-    # uint64 multiply wraps; use object-free modular trick via uint128 emulation:
-    # numpy has no uint128, so compute in python-int domain only when needed.
-    # (a*h + b) mod p with p = 2^61-1 admits fast reduction from the wrapped
-    # 64-bit product only if inputs < p; instead compute via float-safe split:
-    vals = (a.astype(object) * h.astype(object) + b.astype(object)) % _MERSENNE
-    return vals.min(axis=1).astype(np.uint64)
-
-
 def minhash_signature_fast(hashes: np.ndarray, num_perm: int = 128) -> np.ndarray:
-    """Vectorized uint64 variant: uses wrapping 64-bit arithmetic as the
+    """MinHash signature with wrapping 64-bit arithmetic as the
     'permutation' family (h -> a*h + b mod 2^64). Not the textbook mod-p
     family but an equally valid universal-ish hash for MinHash purposes,
-    and ~50x faster. This is the production path."""
+    and ~50x faster than exact mod-p arithmetic on Python ints."""
     if len(hashes) == 0:
         return np.full(num_perm, np.iinfo(np.uint64).max, dtype=np.uint64)
     a = _A[:num_perm, None]

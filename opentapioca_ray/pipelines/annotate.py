@@ -1,13 +1,16 @@
 """Entity-annotation pipeline: the reference's online `/api/annotate` path
 (opentapioca/app.py:68-81, classifier.py:73-81,310-339) as batch dataflow:
 
-documents -> TaggerStage (actor pool; trie + BOW + pagerank broadcast)
-          -> groupby(doc_id).map_groups(classify)  [similarity graph +
+documents -> TaggerStage (tasks or an actor pool; trie + BOW + pagerank
+             broadcast)
+          -> one coarse exchange on hash(doc_id), then the partition
+             classify kernel (stages/classify.py) [similarity graph +
              feature propagation + linear decision + argmax>0]
 
 plus the training path (classifier.py:94-219): tag once, build the design
-matrix distributed, collect the (small) matrix, fit, optional grid search
-with k-fold CV by hash-mod fold assignment (classifier.py:99-102).
+matrix distributed with the same kernel, collect the (small) matrix, fit,
+optional grid search with k-fold CV by doc-index-mod-k fold assignment
+(classifier.py:99-102).
 """
 
 from __future__ import annotations
@@ -21,10 +24,9 @@ import pyarrow as pa
 from opentapioca_ray.stages.classify import (
     ClassifierParams,
     classify_dataset,
-    compute_similarities,
-    doc_design_matrix,
+    classify_partition_vectorized,
+    design_rows_vectorized,
     evaluate_predictions,
-    mentions_from_rows,
 )
 from opentapioca_ray.stages.tagger import TaggerStage
 from opentapioca_ray.state.linear import LinearModel
@@ -105,47 +107,28 @@ def annotate(
 def build_design_matrix(
     tags_ds, gold: pd.DataFrame, params: ClassifierParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distributed per-doc design-matrix build; returns (X, y, doc_hash) with
-    doc_hash for fold assignment. X rows are small (15 features), collected
-    to the driver like the reference."""
-    gold_by_doc = {
-        doc_id: {(r.begin, r.end): r.gold_qid for r in grp.itertuples()}
-        for doc_id, grp in gold.groupby("doc_id")
-    }
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        # whole coarse partition: split per doc at the pandas level
-        outs = []
-        for doc_id, doc_df in df.groupby("doc_id", sort=False):
-            mentions = mentions_from_rows(doc_df)
-            compute_similarities(mentions, params)
-            X, y = doc_design_matrix(mentions, gold_by_doc.get(str(doc_id), {}), params)
-            if not X:
-                continue
-            outs.append(
-                pd.DataFrame(
-                    {
-                        "doc_id": str(doc_id),
-                        "features": [list(map(float, row)) for row in X],
-                        "label": y,
-                    }
-                )
-            )
-        if not outs:
-            return pd.DataFrame({"doc_id": [], "features": [], "label": []})
-        return pd.concat(outs, ignore_index=True)
-
-    from opentapioca_ray.stages.exchange import coarse_group_apply
-
-    out = coarse_group_apply(tags_ds, "doc_id", fn).take_all()
-    if not out:
-        return np.zeros((0, 5)), np.zeros(0), np.zeros(0)
-    X = np.array([r["features"] for r in out])
-    y = np.array([r["label"] for r in out])
+    """Distributed design-matrix build; returns (X, y, doc_hash) with
+    doc_hash for fold assignment. Each coarse partition runs the classify
+    kernel's feature build (`design_rows_vectorized`) and emits one
+    numeric column per feature; the rows (15 features at nb_steps=2) are
+    collected to the driver like the reference does."""
     import zlib
 
-    doc_ids = np.array([zlib.crc32(str(r["doc_id"]).encode()) % (2**31) for r in out])
-    return X, y, doc_ids
+    from opentapioca_ray.stages.exchange import arrow_blocks, coarse_group_apply
+
+    features = [f"f{i}" for i in range(5 * (params.nb_steps + 1))]
+
+    def fn(df: pd.DataFrame) -> pd.DataFrame:
+        docs, X, y = design_rows_vectorized(df, gold, params)
+        return pd.DataFrame(X, columns=features).assign(doc_id=docs, label=y)
+
+    exchanged = coarse_group_apply(tags_ds, "doc_id", fn).materialize()
+    blocks = [t for t in arrow_blocks(exchanged) if t.num_rows]
+    if not blocks:
+        return np.zeros((0, len(features))), np.zeros(0), np.zeros(0)
+    out = pa.concat_tables(blocks).to_pandas()
+    doc_ids = np.array([zlib.crc32(d.encode()) % (2**31) for d in out["doc_id"]])
+    return out[features].to_numpy(), out["label"].to_numpy(), doc_ids
 
 
 def train_annotation_model(
@@ -169,12 +152,13 @@ def _resolve_tags(tags) -> pd.DataFrame:
     if isinstance(tags, pd.DataFrame):
         return tags
     import ray
-    import pyarrow as pa_
 
-    blocks = [t for t in ray.get(list(tags)) if t.num_rows]
+    from opentapioca_ray.stages.exchange import as_arrow_block
+
+    blocks = [t for t in map(as_arrow_block, ray.get(list(tags))) if t.num_rows]
     if not blocks:
         return pd.DataFrame({"doc_id": []})
-    return pa_.concat_tables(blocks, promote_options="permissive").to_pandas()
+    return pa.concat_tables(blocks, promote_options="permissive").to_pandas()
 
 
 def _eval_grid_combo(tags, gold, keys, combo, doc_ids, folds, k, max_iter):
@@ -217,44 +201,37 @@ def grid_search(
     keys = list(grid.keys())
     combos = list(itertools.product(*(grid[k_] for k_ in keys)))
 
+    tag_refs = list(tags_ds.materialize().to_arrow_refs())
     if parallel and ray.is_initialized() and len(combos) > 1:
-        # materialize the tagged Dataset once and hand each grid task the
-        # BLOCK REFS (nested in a list so Ray does not inline-resolve them):
-        # the tagged corpus lives only in the object store + each task's
-        # heap, never in the grid driver's (round-5 verdict item 4)
-        tag_refs = list(tags_ds.materialize().to_arrow_refs())
+        # hand each grid task the BLOCK REFS (nested in a list so Ray does
+        # not inline-resolve them): the tagged corpus lives only in the
+        # object store + each task's heap, never in the grid driver's
         gold_ref = ray.put(gold)
         eval_remote = ray.remote(num_cpus=1)(_eval_grid_combo)
-        futures = [
-            eval_remote.remote(
-                tag_refs, gold_ref, keys, c, doc_ids, folds, k, max_iter
-            )
+        scored = ray.get(
+            [
+                eval_remote.remote(tag_refs, gold_ref, keys, c, doc_ids, folds, k, max_iter)
+                for c in combos
+            ]
+        )
+        fit_remote = ray.remote(num_cpus=1)(_fit_full)
+
+        def fit(params):
+            return ray.get(fit_remote.remote(tag_refs, gold, params, doc_ids, max_iter))
+
+    else:
+        tags_df = _resolve_tags(tag_refs)
+        scored = [
+            _eval_grid_combo(tags_df, gold, keys, c, doc_ids, folds, k, max_iter)
             for c in combos
         ]
-        scored = ray.get(futures)
-        best = (None, 0.0, None)
-        for combo, f1 in scored:
-            if f1 > best[1] or best[0] is None:
-                best = (ClassifierParams(**dict(zip(keys, combo))), f1, None)
-        params = best[0]
-        fit_remote = ray.remote(num_cpus=1)(_fit_full)
-        model = ray.get(
-            fit_remote.remote(tag_refs, gold, params, doc_ids, max_iter)
-        )
-        return (params, best[1], model)
 
-    tags_df = _resolve_tags(list(tags_ds.materialize().to_arrow_refs()))
-    scored = [
-        _eval_grid_combo(tags_df, gold, keys, c, doc_ids, folds, k, max_iter)
-        for c in combos
-    ]
-    best = (None, 0.0, None)
-    for combo, f1 in scored:
-        if f1 > best[1] or best[0] is None:
-            best = (ClassifierParams(**dict(zip(keys, combo))), f1, None)
-    params = best[0]
-    model = _fit_full(tags_df, gold, params, doc_ids, max_iter)
-    return (params, best[1], model)
+        def fit(params):
+            return _fit_full(tags_df, gold, params, doc_ids, max_iter)
+
+    combo, best_f1 = max(scored, key=lambda s: s[1])  # first best setting wins
+    params = ClassifierParams(**dict(zip(keys, combo)))
+    return params, best_f1, fit(params)
 
 
 def _fit_full(tags, gold, params, doc_ids, max_iter):
@@ -266,44 +243,23 @@ def _fit_full(tags, gold, params, doc_ids, max_iter):
     return LinearModel(C=params.C, max_iter=max_iter).fit(*full)
 
 
+def _docs_subset(tags_df: pd.DataFrame, docs) -> pd.DataFrame:
+    """Rows of the docs in `docs`, documents in sorted doc_id order."""
+    keep = tags_df["doc_id"].astype(str).isin(docs)
+    return tags_df[keep].sort_values("doc_id", kind="stable")
+
+
 def _design_local(tags_df, gold, params, docs):
-    X_all, y_all = [], []
-    gold_by_doc = {
-        doc_id: {(r.begin, r.end): r.gold_qid for r in grp.itertuples()}
-        for doc_id, grp in gold.groupby("doc_id")
-    }
-    for doc_id, grp in tags_df.groupby("doc_id"):
-        if str(doc_id) not in docs:
-            continue
-        mentions = mentions_from_rows(grp)
-        compute_similarities(mentions, params)
-        X, y = doc_design_matrix(mentions, gold_by_doc.get(str(doc_id), {}), params)
-        X_all.extend(X)
-        y_all.extend(y)
-    if not X_all or not sum(y_all):
+    _, X, y = design_rows_vectorized(_docs_subset(tags_df, docs), gold, params)
+    if not y.sum():
         return None
-    return np.asarray(X_all), np.asarray(y_all)
+    return X, y
 
 
 def _eval_local(tags_df, gold, params, model, docs):
-    from opentapioca_ray.stages.classify import classify_mentions
-
-    preds = []
-    for doc_id, grp in tags_df.groupby("doc_id"):
-        if str(doc_id) not in docs:
-            continue
-        mentions = mentions_from_rows(grp)
-        compute_similarities(mentions, params)
-        classify_mentions(mentions, model, params)
-        for m in mentions:
-            preds.append(
-                {
-                    "doc_id": str(doc_id),
-                    "start": m.start,
-                    "end": m.end,
-                    "best_qid": m.best_qid,
-                }
-            )
-    pred_df = pd.DataFrame(preds, columns=["doc_id", "start", "end", "best_qid"])
+    result = classify_partition_vectorized(_docs_subset(tags_df, docs), model, params)
+    pred_df = result.drop_duplicates(["doc_id", "start", "end"])[
+        ["doc_id", "start", "end", "best_qid"]
+    ]
     gold_sub = gold[gold["doc_id"].astype(str).isin(docs)]
     return evaluate_predictions(pred_df, gold_sub)

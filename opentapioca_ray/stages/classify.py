@@ -1,21 +1,29 @@
-"""Per-document candidate classification.
+"""Candidate classification.
 
 Re-expression of the reference's `SimpleTagClassifier`
-(opentapioca/classifier.py:14-374) as a per-document group transform:
-the within-document similarity graph, feature propagation
-`[F, AF, A²F, …]` hstack, linear decision function and argmax-with-
-positive-threshold winner are all LOCAL to one document, so the Ray shape
-is `tags_ds.groupby("doc_id").map_groups(classify_fn)` with the trained
-model broadcast. Training collects the (small) design matrix to the driver
-exactly like the reference does.
+(opentapioca/classifier.py:14-374). The within-document similarity graph,
+feature propagation `[F, AF, A²F, …]` hstack, linear decision function and
+argmax-with-positive-threshold winner are all LOCAL to one document, so
+the Ray shape is one coarse exchange on hash(doc_id) followed by
+`classify_partition_vectorized`: a columnar kernel that handles every
+document of a partition at once, for every `nb_steps` (graph edges from a
+sorted-interval join, similarities as set algebra on edge arrays,
+propagation as a segment sum). Training collects the (small) design
+matrix to the driver exactly like the reference does.
+
+`mentions_from_rows` -> `compute_similarities` -> `classify_mentions`
+(and `doc_design_matrix`) are the per-document dataclass path, kept as
+the readable reference twin the kernel is fuzz-tested against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 
 from opentapioca_ray.functions.similarities import get_similarity
 from opentapioca_ray.state.linear import LinearModel
@@ -114,7 +122,7 @@ def compute_similarities(mentions: list[MentionRec], params: ClassifierParams) -
 
     With `nb_steps == 0` the propagation loop never runs and the adjacency
     is dead weight, so the O(mentions^2 x tags^2) graph build is skipped
-    entirely (the hot cost of the classify path at that setting)."""
+    entirely."""
     if params.nb_steps == 0:
         return
     sim_fn = get_similarity(params.similarity, params.beta)
@@ -229,84 +237,196 @@ def doc_design_matrix(
 
 
 # ---------------------------------------------------------------------------
-# Ray Data wrappers
+# Partition kernel (every nb_steps) and its Ray Data wrappers
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = [
-    "doc_id",
-    "start",
-    "end",
-    "phrase",
-    "qid",
-    "score",
-    "is_best",
-    "best_qid",
-]
+RESULT_COLUMNS = ["doc_id", "start", "end", "phrase", "qid", "score", "is_best", "best_qid"]
+
+
+class PartitionRows(NamedTuple):
+    """A partition's tag rows in the per-doc path's order, with features."""
+
+    order: np.ndarray  # sorted position -> original row
+    doc: np.ndarray  # doc_id as str, sorted
+    start: np.ndarray
+    end: np.ndarray
+    seg_id: np.ndarray  # mention index of each sorted row
+    seg_start: np.ndarray  # first sorted row of each mention
+    first: np.ndarray  # original row the mention's ll/phrase come from
+    X: np.ndarray  # [F, AF, …, A^nb_steps F]
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray):
+    """Expand half-open ranges: -> (owner k, value) for value in [lo_k, hi_k)."""
+    cnt = np.maximum(hi - lo, 0)
+    owner = np.repeat(np.arange(len(lo)), cnt)
+    return owner, np.arange(cnt.sum()) - np.repeat(np.cumsum(cnt) - cnt, cnt) + lo[owner]
+
+
+def _similarity_graph(doc, st, en, seg_start, qids, edges, params):
+    """Within-document tag graph of `compute_similarities` as edge arrays
+    (src, dst, w) over sorted rows, self-loops included and weights
+    normalized per source tag.
+
+    Mention pairs come from a sorted-interval join: for mentions i < j in
+    (doc, start) order the distance is start_j - end_i, so j runs up to a
+    searchsorted bound and memory follows local density, not doc size.
+    The similarity measures are set algebra on the deduplicated
+    (row, edge) keys: membership by searchsorted, common neighbours by
+    probing the smaller edge set of each pair."""
+    n, maxd = len(qids), params.max_similarity_distance
+    m_st, m_en, m_nt = st[seg_start], en[seg_start], np.diff(np.append(seg_start, n))
+    lo = m_st.min()
+    key = doc[seg_start] * (int(m_en.max() - lo) + maxd + 2) - lo
+    bound = np.searchsorted(key + m_st, key + m_en + maxd, side="right")
+    mi, mj = _ranges(np.arange(1, len(key) + 1), bound)
+    dist = np.maximum(m_st[mi] - m_en[mj], m_st[mj] - m_en[mi])
+    p, k = _ranges(np.zeros(len(mi), dtype=np.int64), m_nt[mi] * m_nt[mj])
+    a, b = seg_start[mi][p] + k // m_nt[mj][p], seg_start[mj][p] + k % m_nt[mj][p]
+
+    lists = pa.array(edges, type=pa.list_(pa.int64()), from_pandas=True)
+    e_val = lists.flatten().to_numpy(zero_copy_only=False)
+    # int(qid[1:]) as the per-doc path reads it: a non-numeric qid is -1 on
+    # the scanning side (qid_a) and -2 on the other side (qid_b)
+    tail = pd.Series(qids, dtype=object).astype(str).str[1:]
+    q_src = np.where(tail.str.isdigit(), tail, "-1").astype(np.int64)
+    q_dst = np.where(q_src < 0, -2, q_src)
+    codes = pd.factorize(np.concatenate([e_val, q_src, q_dst]))[0]
+    V, ne = int(codes.max()) + 1, len(e_val)
+    c_src, c_dst = codes[ne : ne + n], codes[ne + n :]
+    e_row = np.repeat(np.arange(n), lists.value_lengths().fill_null(0).to_numpy())
+    ekeys = np.append(np.unique(e_row * V + codes[:ne]), np.iinfo(np.int64).max)
+    deg = np.bincount(ekeys[:-1] // V, minlength=n)  # len(set(edges))
+
+    def has(rows, code):
+        q = rows * V + code
+        return ekeys[np.searchsorted(ekeys, q)] == q
+
+    src, dst = np.concatenate([a, b]), np.concatenate([b, a])
+    eq = q_src[src] == q_dst[dst]
+    fwd = has(src, c_dst[dst])  # qid_b in edges_a
+    back = has(dst, c_src[src])  # qid_a in edges_b
+    if params.similarity == "direct_link":
+        sim = (eq | fwd).astype(np.float64) + (eq | back)
+    elif params.similarity in ("edge_ratio", "one_step"):
+        x = np.where(deg[a] <= deg[b], a, b)
+        x_off = np.searchsorted(ekeys, x * V)
+        owner, pos = _ranges(x_off, x_off + deg[x])
+        common = np.bincount(owner, has((a + b - x)[owner], ekeys[pos] % V), len(a))
+        common = np.concatenate([common, common])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if params.similarity == "edge_ratio":  # both sets gain their own qid
+                own_a, own_b = has(src, c_src[src]), has(dst, c_dst[dst])
+                common = common + (fwd & ~own_b) + (back & ~own_a) + (eq & ~own_a & ~own_b)
+                sim = 0.5 * (common / (deg[src] + ~own_a) + common / (deg[dst] + ~own_b))
+            else:
+                beta = params.beta
+                sim = np.where(eq, beta * beta, 0.0)
+                sim = sim + np.where(fwd, (1 - beta) * beta / deg[src], 0.0)
+                sim = sim + np.where(back, beta * (1 - beta) / deg[dst], 0.0)
+                walk = (1 - beta) * (1 - beta) * (common / deg[src]) * (common / deg[dst])
+                sim = sim + np.where(common > 0, walk, 0.0)
+    else:
+        raise ValueError(f"unknown similarity: {params.similarity}")
+    smoothing = params.similarity_smoothing
+    w = (smoothing + sim) * ((maxd - np.concatenate([dist[p], dist[p]])) / maxd)
+    keep = w > 0.0
+    src = np.concatenate([np.arange(n), src[keep]])
+    dst = np.concatenate([np.arange(n), dst[keep]])
+    w = np.concatenate([np.full(n, smoothing), w[keep]])
+    total = np.bincount(src, w, n)[src]
+    keep = total > 0.0  # a tag whose weights sum to <= 0 gets no edges
+    return src[keep], dst[keep], w[keep] / total[keep]
+
+
+def _propagate(F: np.ndarray, graph, rows_doc: np.ndarray, nb_steps: int) -> np.ndarray:
+    """`hstack([F, AF, A²F, …])` with A[dst, src] = w, as one segment sum
+    (bincount) per feature column and step. The per-doc path multiplies a
+    dense matrix, so 0 * nan and 0 * inf turn a non-finite feature into
+    nan for every row of its document that no edge connects it to; that
+    is reproduced here."""
+    src, dst, w = graph
+    n = len(F)
+
+    def step(col: np.ndarray) -> np.ndarray:
+        out = np.bincount(dst, w * col[src], n)
+        bad = ~np.isfinite(col)
+        if bad.any():
+            reached = np.bincount(dst, bad[src], n)
+            out[reached < np.bincount(rows_doc, bad)[rows_doc]] = np.nan
+        return out
+
+    mixed, parts = np.ascontiguousarray(F.T), [F]
+    for _ in range(nb_steps):
+        mixed = np.array([step(col) for col in mixed])
+        parts.append(mixed.T)
+    return np.hstack(parts)
+
+
+def partition_features(df: pd.DataFrame, params: ClassifierParams) -> PartitionRows:
+    """Feature matrix of `build_feature_matrix` for a whole partition of
+    (mention, tag) rows, many documents at once. Rows are sorted by doc
+    (first appearance), start, end, rank desc, original row order, which
+    is the per-doc path's order; a mention's log_likelihood and phrase
+    come from its first original row (`grp.iloc[0]`)."""
+    n = len(df)
+    doc = df["doc_id"].astype(str).to_numpy(dtype=object)
+    doc_code = pd.factorize(doc, sort=False)[0]
+    start, end = (df[c].to_numpy(dtype=np.int64) for c in ("start", "end"))
+    rank = df["rank"].to_numpy(dtype=np.float64)
+    order = np.lexsort((-rank, end, start, doc_code))  # stable: ties keep row order
+    dc, st, en = doc_code[order], start[order], end[order]
+    new_seg = np.r_[True, (np.diff(np.column_stack([dc, st, en]), axis=0) != 0).any(axis=1)]
+    seg_id = np.cumsum(new_seg) - 1
+    seg_start = np.flatnonzero(new_seg)
+    first = np.minimum.reduceat(order, seg_start)
+    F = np.column_stack(
+        [
+            df["log_likelihood"].to_numpy(dtype=np.float64)[first][seg_id],
+            df[["rank", "nb_statements", "nb_sitelinks"]].to_numpy(dtype=np.float64)[order],
+            np.ones(n),
+        ]
+    )
+    X = F
+    if params.nb_steps:
+        qids, edges = (df[c].to_numpy(dtype=object)[order] for c in ("qid", "edges"))
+        graph = _similarity_graph(dc, st, en, seg_start, qids, edges, params)
+        X = _propagate(F, graph, dc, params.nb_steps)
+    return PartitionRows(order, doc[order], st, en, seg_id, seg_start, first, X)
 
 
 def classify_partition_vectorized(
     df: pd.DataFrame, model: LinearModel, params: ClassifierParams
 ) -> pd.DataFrame:
-    """`nb_steps == 0` fast path over a whole partition: the feature matrix
-    is just the 5 base columns, so scores are one matmul and the per-mention
-    argmax runs as a segment reduction — no MentionRec/TagRec construction,
-    no per-doc Python loop. Exactly reproduces the per-row path's winner
-    tie-break: tags scanned in (rank desc, original row order) with strict
-    `>`, i.e. the FIRST maximal-score tag in that order wins (equivalence
-    fuzz-pinned in tests/test_classify_vectorized.py)."""
-    n = len(df)
-    doc = df["doc_id"].astype(str).to_numpy(dtype=object)
-    start = df["start"].to_numpy(dtype=np.int64)
-    end = df["end"].to_numpy(dtype=np.int64)
-    rank = df["rank"].to_numpy(dtype=np.float64)
-    ll = df["log_likelihood"].to_numpy(dtype=np.float64)
-    phrase = df["phrase"].to_numpy(dtype=object)
-    doc_code = pd.factorize(doc, sort=False)[0]
-    pos = np.arange(n, dtype=np.int64)
-    order = np.lexsort((pos, -rank, end, start, doc_code))
-    dc, st, en = doc_code[order], start[order], end[order]
-    new_seg = np.concatenate(
-        ([True], (dc[1:] != dc[:-1]) | (st[1:] != st[:-1]) | (en[1:] != en[:-1]))
-    )
-    seg_id = np.cumsum(new_seg) - 1
-    starts_idx = np.flatnonzero(new_seg)
-    # the per-row path takes the MENTION's log_likelihood and phrase from
-    # its first ORIGINAL row (mentions_from_rows `grp.iloc[0]`) for every
-    # tag row — reproduce via the min original position per segment
-    first_pos = np.minimum.reduceat(pos[order], starts_idx)
-    ll_seg = ll[first_pos][seg_id]
-    phrase_seg = phrase[first_pos][seg_id]
-    X = np.column_stack(
-        [
-            ll_seg,
-            rank[order],
-            df["nb_statements"].to_numpy(dtype=np.float64)[order],
-            df["nb_sitelinks"].to_numpy(dtype=np.float64)[order],
-            np.ones(n),
-        ]
-    )
-    sc = model.decision_function(X)
-    seg_max = np.maximum.reduceat(sc, starts_idx)
-    # first maximal-score row per segment in (rank desc, row order) order
-    cand = np.flatnonzero(sc == seg_max[seg_id])
-    _, first_of = np.unique(seg_id[cand], return_index=True)
-    win_idx = cand[first_of]
+    """The classifier over a whole partition, for every nb_steps: one
+    feature build, one matmul, and a segment argmax per mention. The
+    winner is the per-doc path's: the first maximal score in (rank desc,
+    row order), kept only if it is > `score_threshold`; nan never wins.
+    Fuzz-pinned against `classify_mentions` in
+    tests/test_classify_vectorized.py."""
+    if df.empty:
+        return pd.DataFrame(columns=RESULT_COLUMNS)
+    rows = partition_features(df, params)
+    n = len(rows.order)
+    sc = model.decision_function(rows.X)
+    seg_max = np.fmax.reduceat(sc, rows.seg_start)
+    hit = np.where(sc == seg_max[rows.seg_id], np.arange(n), n)
+    win_idx = np.minimum.reduceat(hit, rows.seg_start)
     accepted = seg_max > params.score_threshold
-    qid_sorted = df["qid"].to_numpy(dtype=object)[order]
-    best_per_seg = np.where(accepted, qid_sorted[win_idx], None)
-    best_col = best_per_seg[seg_id]
+    qid = df["qid"].to_numpy(dtype=object)[rows.order]
+    best = np.where(accepted, qid[np.minimum(win_idx, n - 1)], None)
     is_best = np.zeros(n, dtype=bool)
     is_best[win_idx[accepted]] = True
     return pd.DataFrame(
         {
-            "doc_id": doc[order],
-            "start": st,
-            "end": en,
-            "phrase": phrase_seg,
-            "qid": qid_sorted,
+            "doc_id": rows.doc,
+            "start": rows.start,
+            "end": rows.end,
+            "phrase": df["phrase"].to_numpy(dtype=object)[rows.first][rows.seg_id],
+            "qid": qid,
             "score": sc,
             "is_best": is_best,
-            "best_qid": best_col,
+            "best_qid": best[rows.seg_id],
         },
         columns=RESULT_COLUMNS,
     )
@@ -315,130 +435,40 @@ def classify_partition_vectorized(
 def design_rows_vectorized(
     df: pd.DataFrame, gold: pd.DataFrame, params: ClassifierParams
 ):
-    """`doc_design_matrix` for a whole partition at `nb_steps == 0`:
-    returns `(doc_ids, X, y)` arrays where X is the 5 base feature columns
-    and y is the gold-join validity label — one left merge + column
-    stacking instead of per-doc MentionRec construction. Matches the
-    per-doc path's conventions exactly (mention log_likelihood taken from
-    the mention's first original row; unlabeled mentions contribute y=0
-    rows); equivalence fuzz-pinned in tests/test_classify_vectorized.py.
+    """`doc_design_matrix` for a whole partition: `(doc_ids, X, y)` in the
+    per-doc path's row order. y is 1 where the tag's qid is its mention's
+    gold qid (gold keyed by str doc_id, begin, end; the last duplicate
+    wins); unlabeled mentions contribute y=0 rows.
 
-    `gold` columns: doc_id (string), begin, end, gold_qid."""
-    n = len(df)
-    doc = df["doc_id"].astype(str)
-    ll_first = (
-        df["log_likelihood"]
-        .groupby([doc, df["start"], df["end"]], sort=False)
-        .transform("first")
-        .to_numpy(dtype=np.float64)
-    )
-    X = np.column_stack(
-        [
-            ll_first,
-            df["rank"].to_numpy(dtype=np.float64),
-            df["nb_statements"].to_numpy(dtype=np.float64),
-            df["nb_sitelinks"].to_numpy(dtype=np.float64),
-            np.ones(n),
-        ]
-    )
+    `gold` columns: doc_id, begin, end, gold_qid."""
+    if df.empty:
+        X = np.zeros((0, 5 * (params.nb_steps + 1)))
+        return np.zeros(0, dtype=object), X, np.zeros(0, dtype=np.int64)
+    rows = partition_features(df, params)
+    qid = df["qid"].to_numpy(dtype=object)[rows.order]
+    y = np.zeros(len(qid), dtype=np.int64)
     if len(gold):
-        g = gold[["doc_id", "begin", "end", "gold_qid"]].copy()
-        g["doc_id"] = g["doc_id"].astype(str)
-        # dict-build semantics: one gold qid per (doc, begin, end), last wins
-        g = g.drop_duplicates(["doc_id", "begin", "end"], keep="last")
+        g = gold.astype({"doc_id": str}).drop_duplicates(["doc_id", "begin", "end"], keep="last")
         merged = pd.DataFrame(
-            {
-                "doc_id": doc.to_numpy(dtype=object),
-                "start": df["start"].to_numpy(dtype=np.int64),
-                "end": df["end"].to_numpy(dtype=np.int64),
-                "qid": df["qid"].to_numpy(dtype=object),
-            }
-        ).merge(
-            g,
-            left_on=["doc_id", "start", "end"],
-            right_on=["doc_id", "begin", "end"],
-            how="left",
-        )
-        y = (
-            (merged["qid"] == merged["gold_qid"]).to_numpy(dtype=bool)
-        ).astype(np.int64)
-    else:
-        y = np.zeros(n, dtype=np.int64)
-    return doc.to_numpy(dtype=object), X, y
-
-
-def make_classify_group_fn(model_dict: dict, params: ClassifierParams):
-    """Group fn for `tags_ds.groupby('doc_id').map_groups(fn)`: one output
-    row per candidate tag with its score and the mention-level winner."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        model = LinearModel.from_dict(model_dict)
-        mentions = mentions_from_rows(df)
-        compute_similarities(mentions, params)
-        classify_mentions(mentions, model, params)
-        out = []
-        for m in mentions:
-            for t in m.tags:
-                out.append(
-                    {
-                        "doc_id": m.doc_id,
-                        "start": m.start,
-                        "end": m.end,
-                        "phrase": m.phrase,
-                        "qid": t.id,
-                        "score": t.score,
-                        "is_best": t.id == m.best_qid,
-                        "best_qid": m.best_qid,
-                    }
-                )
-        return pd.DataFrame(out, columns=RESULT_COLUMNS)
-
-    return fn
+            {"doc_id": rows.doc, "begin": rows.start, "end": rows.end}
+        ).merge(g, on=["doc_id", "begin", "end"], how="left")
+        y = (merged["gold_qid"].to_numpy(dtype=object) == qid).astype(np.int64)
+    return rows.doc, rows.X, y
 
 
 def classify_dataset(tags_ds, model: LinearModel, params: ClassifierParams):
     """tags Dataset -> per-tag scores + per-mention winners. The model ships
     as a plain dict inside the closure (small). ONE coarse-partition
-    exchange on hash(doc_id) % P (stages/exchange.py): the partition kernel
-    deserializes the model once and classifies ALL its documents via a
-    pandas-level groupby split — not a Ray-level per-doc `map_groups`,
-    whose per-group task overhead collapses at millions of documents (the
-    per-doc similarity-graph work itself is irreducibly per-document)."""
+    exchange on hash(doc_id) % P (stages/exchange.py) puts whole documents
+    in one partition, and `classify_partition_vectorized` classifies all
+    of them at once: no per-document Python loop, no Ray-level per-doc
+    `map_groups`."""
     from opentapioca_ray.stages.exchange import coarse_group_apply
 
     model_dict = model.to_dict()
 
     def partition_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(columns=RESULT_COLUMNS)
-        mdl = LinearModel.from_dict(model_dict)
-        if params.nb_steps == 0:
-            return classify_partition_vectorized(df, mdl, params)
-        outs = []
-        for _, doc_df in df.groupby("doc_id", sort=False):
-            mentions = mentions_from_rows(doc_df)
-            compute_similarities(mentions, params)
-            classify_mentions(mentions, mdl, params)
-            outs.append(
-                pd.DataFrame(
-                    [
-                        {
-                            "doc_id": m.doc_id,
-                            "start": m.start,
-                            "end": m.end,
-                            "phrase": m.phrase,
-                            "qid": t.id,
-                            "score": t.score,
-                            "is_best": t.id == m.best_qid,
-                            "best_qid": m.best_qid,
-                        }
-                        for m in mentions
-                        for t in m.tags
-                    ],
-                    columns=RESULT_COLUMNS,
-                )
-            )
-        return pd.concat(outs, ignore_index=True) if outs else pd.DataFrame(columns=RESULT_COLUMNS)
+        return classify_partition_vectorized(df, LinearModel.from_dict(model_dict), params)
 
     return coarse_group_apply(tags_ds, "doc_id", partition_fn)
 

@@ -59,9 +59,22 @@ def as_arrow_block(block) -> pa.Table:
     the zero-copy path leaks raw pandas blocks to the caller. That mix is
     data- and execution-order-dependent, so it shows up intermittently.
     Every driver-side consumer in this repo goes through here (or
-    `arrow_blocks`) instead of trusting the ref type."""
+    `arrow_blocks`) instead of trusting the ref type.
+
+    A pandas block holds list columns as Ray tensor columns, which
+    `from_pandas` would turn into Ray's fixed- or variable-shape tensor
+    extension types depending on the block's contents; 1-D ones are
+    rebuilt as plain Arrow lists, the type the Arrow-lineage blocks
+    carry, so blocks of either lineage concatenate."""
     if isinstance(block, pd.DataFrame):
-        return pa.Table.from_pandas(block, preserve_index=False)
+        from ray.air.util.tensor_extensions.pandas import TensorDtype
+
+        lists = {
+            c: list(block[c].array.to_numpy())
+            for c, t in block.dtypes.items()
+            if isinstance(t, TensorDtype) and len(t.element_shape) == 1
+        }
+        return pa.Table.from_pandas(block.assign(**lists), preserve_index=False)
     return block
 
 

@@ -240,6 +240,11 @@ class TaggerStage:
 
         if state_ref is not None:
             state = resolve(state_ref)
+            if state.top_k != top_k:
+                raise ValueError(
+                    f"top_k={top_k} disagrees with the prebuilt state's "
+                    f"top_k={state.top_k}; build the state with the top_k you want"
+                )
         else:
             state = build_tagger_state(
                 resolve(entities_ref),

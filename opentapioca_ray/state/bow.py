@@ -118,16 +118,6 @@ def _distinct_doc_word_pairs(batch: pa.Table, text_column: str):
     return np.asarray(uniques, dtype=object), (uk % len(uniques)).astype(np.int64)
 
 
-def distinct_words_batch(batch: pa.Table, text_column: str) -> pa.Table:
-    """Per-row distinct tokens -> one output row per (row, word).
-
-    The flat_map half of the BOW aggregation; runs vectorized over an Arrow
-    batch. Dedup-per-row mirrors `ingest_phrases` set semantics.
-    """
-    uniques, dedup_codes = _distinct_doc_word_pairs(batch, text_column)
-    return pa.table({"word": pa.array(uniques[dedup_codes], type=pa.string())})
-
-
 def partial_word_counts(batch: pa.Table, text_column: str) -> pa.Table:
     """Combiner: count distinct-per-row words inside the batch BEFORE the
     shuffle, so the groupby moves (word, partial_count) not raw tokens."""

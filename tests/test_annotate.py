@@ -161,3 +161,53 @@ def test_grid_search_improves_or_matches(ray_session):
     )
     assert best_model is not None
     assert best_f1 > 0.0
+
+
+def test_resolve_tags_accepts_pandas_blocks(ray_session):
+    """The block refs of a pandas-lineage tags Dataset hold pandas frames;
+    `_resolve_tags` must rebuild the same rows as from Arrow blocks."""
+    import ray
+    import ray.data
+
+    from opentapioca_ray.pipelines.annotate import _resolve_tags
+
+    docs, _ = corpus()
+    bow, pr = bow_and_pagerank()
+    tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr)
+    pandas_tags = tags.map_batches(lambda df: df, batch_format="pandas").materialize()
+    refs = [r for b in pandas_tags.iter_internal_ref_bundles() for r in b.block_refs]
+    assert any(isinstance(b, pd.DataFrame) for b in ray.get(refs))
+    key = ["doc_id", "start", "end", "qid"]
+    got = _resolve_tags(refs).sort_values(key).reset_index(drop=True)
+    want = tags.to_pandas().sort_values(key).reset_index(drop=True)
+    assert got[key].equals(want[key])
+    assert np.allclose(got["rank"], want["rank"])
+
+
+def test_build_design_matrix_matches_per_doc_path(ray_session):
+    """The distributed design matrix (numeric feature columns collected
+    from the exchange's blocks) holds the per-doc path's rows."""
+    import ray.data
+
+    from opentapioca_ray.pipelines.annotate import build_design_matrix
+    from opentapioca_ray.stages.classify import (
+        compute_similarities,
+        doc_design_matrix,
+        mentions_from_rows,
+    )
+
+    docs, gold = corpus()
+    bow, pr = bow_and_pagerank()
+    tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr).materialize()
+    params = ClassifierParams(nb_steps=2)
+    X, y, doc_hash = build_design_matrix(tags, gold, params)
+    want = []
+    for doc_id, doc_df in tags.to_pandas().groupby("doc_id"):
+        mentions = mentions_from_rows(doc_df)
+        compute_similarities(mentions, params)
+        gold_doc = {(r.begin, r.end): r.gold_qid for r in gold[gold.doc_id == doc_id].itertuples()}
+        Xd, yd = doc_design_matrix(mentions, gold_doc, params)
+        want += [(tuple(np.round(x, 9)), int(v)) for x, v in zip(Xd, yd)]
+    assert X.shape == (len(want), 15) and len(doc_hash) == len(want)
+    assert sorted(zip(map(tuple, np.round(X, 9)), y.tolist())) == sorted(want)
+    assert y.sum() > 0

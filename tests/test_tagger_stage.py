@@ -188,3 +188,16 @@ def test_actors_mode_shared_state_matches_tasks_mode(ray_session, vanuatu_setup)
         )
 
     assert rows("actors") == rows("tasks")
+
+
+def test_prebuilt_state_top_k_must_agree(vanuatu_setup):
+    """A prebuilt state fixes top_k; a different constructor top_k is an
+    error instead of being silently ignored."""
+    from opentapioca_ray.stages.tagger import build_tagger_state
+
+    ents, _, bow, graph = vanuatu_setup
+    bow_counts = {"word_count": bow.word_count, "total_count": bow.total_count}
+    state = build_tagger_state(ents, bow_counts, graph.pagerank, top_k=3)
+    assert TaggerStage(state_ref=state, top_k=3).top_k == 3
+    with pytest.raises(ValueError, match="top_k"):
+        TaggerStage(state_ref=state)  # default top_k=10
