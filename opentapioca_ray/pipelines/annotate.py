@@ -122,8 +122,7 @@ def build_design_matrix(
         docs, X, y = design_rows_vectorized(df, gold, params)
         return pd.DataFrame(X, columns=features).assign(doc_id=docs, label=y)
 
-    exchanged = coarse_group_apply(tags_ds, "doc_id", fn).materialize()
-    blocks = [t for t in arrow_blocks(exchanged) if t.num_rows]
+    blocks = [t for t in arrow_blocks(coarse_group_apply(tags_ds, "doc_id", fn)) if t.num_rows]
     if not blocks:
         return np.zeros((0, len(features))), np.zeros(0), np.zeros(0)
     out = pa.concat_tables(blocks).to_pandas()
@@ -196,12 +195,14 @@ def grid_search(
     (classifier.py:147-151)."""
     import ray
 
+    from opentapioca_ray.stages.exchange import block_refs
+
     doc_ids = sorted(docs_df["doc_id"].astype(str).unique())
     folds = {d: i % k for i, d in enumerate(doc_ids)}
     keys = list(grid.keys())
     combos = list(itertools.product(*(grid[k_] for k_ in keys)))
 
-    tag_refs = list(tags_ds.materialize().to_arrow_refs())
+    tag_refs = block_refs(tags_ds)
     if parallel and ray.is_initialized() and len(combos) > 1:
         # hand each grid task the BLOCK REFS (nested in a list so Ray does
         # not inline-resolve them): the tagged corpus lives only in the

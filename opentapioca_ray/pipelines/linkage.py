@@ -17,11 +17,9 @@ import pyarrow as pa
 
 from opentapioca_ray.stages.cc import connected_components
 from opentapioca_ray.stages.pairs import (
-    FEATURE_NAMES,
     PairFeaturizer,
     PairScorerStage,
     blocking_batch,
-    make_pair_group_fn,
 )
 from opentapioca_ray.state.linear import LinearModel
 from opentapioca_ray.stages.exchange import arrow_blocks
@@ -226,48 +224,6 @@ def repo_in_degree_prior(
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def build_blocks(files_ds, num_perm=128, bands=32, shingle_k=3):
-    return files_ds.map_batches(
-        lambda b: blocking_batch(
-            b,
-            id_column="file_id",
-            text_column="content",
-            repo_column="repo",
-            num_perm=num_perm,
-            bands=bands,
-            shingle_k=shingle_k,
-        ),
-        batch_format="pyarrow",
-    )
-
-
-def build_pairs(blocks_ds, max_block_size=64, window=8):
-    """Inline-payload pair generation: ONE coarse-partition exchange on
-    hash(block_key) % P; the partition kernel splits its blocks at the
-    pandas level and applies the skew-guarded pair fn per block — not a
-    Ray-level per-block `map_groups` (tiny-group overhead at millions of
-    band keys)."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply
-    from opentapioca_ray.stages.pairs import (
-        PAIR_COLUMNS,
-        prefilter_singleton_blocks,
-    )
-
-    candidates = prefilter_singleton_blocks(blocks_ds)
-    block_fn = make_pair_group_fn(max_block_size, window)
-
-    def partition_fn(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return pd.DataFrame(columns=list(PAIR_COLUMNS))
-        outs = [block_fn(g) for _, g in df.groupby("block_key", sort=False)]
-        outs = [o for o in outs if len(o)]
-        if not outs:
-            return pd.DataFrame(columns=list(PAIR_COLUMNS))
-        return pd.concat(outs, ignore_index=True)
-
-    return coarse_group_apply(candidates, "block_key", partition_fn)
-
-
 def score_pairs(
     pairs_ds,
     idf: dict,
@@ -313,17 +269,6 @@ def score_pairs(
         },
         batch_format="pyarrow",
         concurrency=concurrency,
-    )
-
-
-def dedup_scored_pairs(scored_ds):
-    """A pair can be emitted by several bands — keep one row per pair.
-    Scores are deterministic per pair, so Max == first."""
-    from ray.data.aggregate import Count, Max
-
-    aggs = [Max(c, alias_name=c) for c in [*FEATURE_NAMES, "score"]]
-    return scored_ds.groupby(["left_id", "right_id"]).aggregate(
-        *aggs, Count(alias_name="nb_bands")
     )
 
 
@@ -461,12 +406,7 @@ def build_id_pairs(
     Scale-adaptive: surviving candidate rows below `_DRIVER_PAIRS_LIMIT`
     pair up vectorized on the driver (no shuffle); above, the
     groupby(block_key) + groupby(pair) shuffles run distributed."""
-    from ray.data.aggregate import Count, Max
-
-    from opentapioca_ray.stages.pairs import (
-        make_id_pair_group_fn,
-        prefilter_singleton_blocks,
-    )
+    from opentapioca_ray.stages.pairs import prefilter_singleton_blocks
 
     blocks = files_ds.map_batches(
         lambda b: blocking_batch(
@@ -844,8 +784,6 @@ def linkage_clusters(
     max_block_size: int = 64,
     window: int = 8,
     concurrency=None,
-    payload_mode: str = "auto",
-    inline_threshold: int = 0,
     distributed: bool = False,
 ):
     """Full pipeline -> (clusters_ds (node, component), scored_pairs_ds).
@@ -861,53 +799,35 @@ def linkage_clusters(
     edges; the shuffle star rounds are forced and equivalence-tested
     separately (tests/test_cc.py, local_threshold=0).
 
-    Two payload strategies for the wide block shuffle:
-    - "inline": token prefixes ride along in the band shuffle (one wide
-      exchange, fewest barriers) — fastest while `bands x files x TOKENS_CAP`
-      fits comfortably through the object store;
-    - "attach": the band shuffle ships ids only, pairs are deduplicated
-      across bands FIRST, then token payloads are attached to surviving
-      pairs by a reduce-side join and each pair is scored exactly once —
-      the 100TB path (shuffle bytes independent of content width).
-    "auto" picks inline below `inline_threshold` files; with the vectorized
-    attach/pair kernels, attach measures faster at every tested scale, so
-    the default threshold is 0 (attach always); inline stays available for
-    workloads with very wide bands-per-pair ratios.
+    The band shuffle ships ids only: pairs are deduplicated across bands
+    first, then token payloads are attached to the surviving pairs by a
+    reduce-side join and each pair is scored exactly once, so shuffle
+    bytes do not grow with content width.
     """
     import ray.data as rd
 
     files_ds = files_ds.materialize()  # consumed by idf, prior, blocks, tokens
-    stats_mode = "shuffle" if distributed else "auto"
+    mode = "shuffle" if distributed else "auto"
     if idf is None and prior is None:
-        idf, prior = corpus_stats(files_ds, mode=stats_mode)
+        idf, prior = corpus_stats(files_ds, mode=mode)
     elif idf is None:
         idf = train_idf(files_ds)
     elif prior is None:
         prior = repo_in_degree_prior(files_ds)
-    if distributed:
-        payload_mode = "attach"
-    elif payload_mode == "auto":
-        payload_mode = "inline" if files_ds.count() <= inline_threshold else "attach"
-    if payload_mode == "inline":
-        blocks = build_blocks(files_ds, num_perm, bands, shingle_k)
-        pairs = build_pairs(blocks, max_block_size, window)
-        scored = dedup_scored_pairs(score_pairs(pairs, idf, prior, model, concurrency))
-    else:
-        sub_mode = "shuffle" if distributed else "auto"
-        pairs = build_id_pairs(
-            files_ds, num_perm, bands, shingle_k, max_block_size, window,
-            mode=sub_mode, prefilter_mode=sub_mode,
-        )
-        enriched = attach_pair_tokens(pairs, files_ds, mode=sub_mode)
-        if enriched is None:  # no candidate pairs at all
-            empty_sc = pa.schema(
-                [("left_id", pa.int64()), ("right_id", pa.int64()), ("score", pa.float64())]
-            ).empty_table()
-            empty_cl = pa.schema(
-                [("node", pa.int64()), ("component", pa.int64())]
-            ).empty_table()
-            return rd.from_arrow(empty_cl), rd.from_arrow(empty_sc)
-        scored = score_pairs(enriched, idf, prior, model, concurrency)
+    pairs = build_id_pairs(
+        files_ds, num_perm, bands, shingle_k, max_block_size, window,
+        mode=mode, prefilter_mode=mode,
+    )
+    enriched = attach_pair_tokens(pairs, files_ds, mode=mode)
+    if enriched is None:  # no candidate pairs at all
+        empty_sc = pa.schema(
+            [("left_id", pa.int64()), ("right_id", pa.int64()), ("score", pa.float64())]
+        ).empty_table()
+        empty_cl = pa.schema(
+            [("node", pa.int64()), ("component", pa.int64())]
+        ).empty_table()
+        return rd.from_arrow(empty_cl), rd.from_arrow(empty_sc)
+    scored = score_pairs(enriched, idf, prior, model, concurrency)
     # scored is consumed at least twice (match-edge derivation here, and
     # callers re-read it: F1 eval, the oracle's match-edge dump); left lazy,
     # each consumer re-runs the whole blocking+scoring pipeline

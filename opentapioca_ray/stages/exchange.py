@@ -52,14 +52,13 @@ def _coarse_codes(key_col, n_parts: int) -> pa.Array:
 def as_arrow_block(block) -> pa.Table:
     """Normalize one materialized Ray Data block to a pa.Table.
 
-    `Dataset.to_arrow_refs` (Ray 2.49) decides zero-copy vs convert from
-    the DATASET-level schema: when a pandas-lineage dataset (map_groups /
-    pandas map_batches) happens to report an Arrow schema — e.g. its first
-    block is an empty Arrow passthrough while later blocks are pandas —
-    the zero-copy path leaks raw pandas blocks to the caller. That mix is
-    data- and execution-order-dependent, so it shows up intermittently.
-    Every driver-side consumer in this repo goes through here (or
-    `arrow_blocks`) instead of trusting the ref type.
+    Ray Data keeps each block in the format of the operator that produced
+    it, so a pandas-lineage dataset (map_groups / pandas map_batches) can
+    hold Arrow and pandas blocks side by side — e.g. an empty Arrow
+    passthrough block next to pandas partition outputs. Which mix appears
+    is data- and execution-order-dependent, so every driver-side consumer
+    in this repo goes through here (or `arrow_blocks`) instead of trusting
+    a block's type.
 
     A pandas block holds list columns as Ray tensor columns, which
     `from_pandas` would turn into Ray's fixed- or variable-shape tensor
@@ -78,14 +77,29 @@ def as_arrow_block(block) -> pa.Table:
     return block
 
 
+def block_refs(ds) -> list:
+    """Execute `ds` once and return the ObjectRefs of its blocks, in
+    dataset order. The ref bundles are drained into a list before this
+    returns, so the streaming executor has finished even if the caller
+    reads only some of the blocks.
+
+    This is the repo's one collect path. `Dataset.to_arrow_refs` (Ray
+    2.49) also fetches the dataset schema after producing the blocks, and
+    on a lazy dataset that fetch executes the plan a second time; no
+    schema is asked for here. Blocks keep their native format (Arrow or
+    pandas) — normalize with `as_arrow_block` where they are read."""
+    return [ref for bundle in ds.iter_internal_ref_bundles() for ref in bundle.block_refs]
+
+
 def arrow_blocks(ds):
-    """Yield each block of `ds` as a pa.Table: `to_arrow_refs` + `ray.get`
-    + pandas normalization (see `as_arrow_block`). Driver-side only — use
-    on the small partials/summaries this repo collects, never on a
-    volume-carrying dataset."""
+    """Yield each block of `ds` as a pa.Table (`as_arrow_block` over
+    `block_refs`). Runs the plan of a lazy `ds` exactly once, and not at
+    all for a materialized one. Driver-side only — use on the small
+    partials/summaries this repo collects, never on a volume-carrying
+    dataset."""
     import ray
 
-    for ref in ds.to_arrow_refs():
+    for ref in block_refs(ds):
         yield as_arrow_block(ray.get(ref))
 
 

@@ -253,7 +253,7 @@ def nb_lang_confusion(
         {"t": ("c", "sum")},
         n_parts=n_parts,
     )
-    for t in arrow_blocks(lt.materialize()):
+    for t in arrow_blocks(lt):
         if t.num_rows == 0 or "lang" not in t.column_names:
             continue
         for l, v in zip(t.column("lang").to_pylist(), t.column("t").to_pylist()):

@@ -139,7 +139,6 @@ def prefilter_singleton_blocks(
     import pyarrow as pa
     import pyarrow.compute as pc
     import ray
-    from ray.data.aggregate import Count
 
     blocks_ds = blocks_ds.materialize()  # consumed twice: count + filter
     if mode == "auto":
@@ -274,46 +273,6 @@ def make_pair_group_fn(max_block_size: int = 64, window: int = 8):
                 }
             )
         return pd.DataFrame(rows, columns=list(PAIR_COLUMNS))
-
-    return fn
-
-
-def make_id_pair_group_fn(max_block_size: int = 64, window: int = 8):
-    """Slim variant of `make_pair_group_fn`: emits only (left_id, right_id,
-    capped) — numpy-vectorized pair index generation, same skew-guard
-    semantics (all-pairs under `max_block_size`, else sorted-neighborhood by
-    minhash head with `window`, dropped-pair count carried, never silent)."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        df = df.drop_duplicates("file_id").sort_values("sig_head", kind="mergesort")
-        ids = df["file_id"].to_numpy(dtype=np.int64)
-        n = len(ids)
-        empty = pd.DataFrame(
-            {
-                "left_id": pd.Series(dtype=np.int64),
-                "right_id": pd.Series(dtype=np.int64),
-                "capped": pd.Series(dtype=np.int64),
-            }
-        )
-        if n < 2:
-            return empty
-        if n <= max_block_size:
-            iu, ju = np.triu_indices(n, k=1)
-            capped = 0
-        else:
-            offs = np.arange(1, window + 1)
-            iu = np.repeat(np.arange(n), window)
-            ju = iu + np.tile(offs, n)
-            keep = ju < n
-            iu, ju = iu[keep], ju[keep]
-            capped = n * (n - 1) // 2 - len(iu)
-        return pd.DataFrame(
-            {
-                "left_id": np.minimum(ids[iu], ids[ju]),
-                "right_id": np.maximum(ids[iu], ids[ju]),
-                "capped": np.full(len(iu), capped, dtype=np.int64),
-            }
-        )
 
     return fn
 

@@ -218,13 +218,12 @@ def prefix_scan_select(
     import ray
     import ray.data
 
-    sorted_ds = ds.sort(order_columns, descending=descending).materialize()
-    refs = sorted_ds.to_arrow_refs()
+    from opentapioca_ray.stages.exchange import as_arrow_block, block_refs
+
+    refs = block_refs(ds.sort(order_columns, descending=descending))
 
     @ray.remote
     def block_sum(t) -> int:
-        from opentapioca_ray.stages.exchange import as_arrow_block
-
         t = as_arrow_block(t)
         if t.num_rows == 0 or value_column not in t.column_names:
             return 0
@@ -236,7 +235,8 @@ def prefix_scan_select(
     offsets = np.concatenate(([0], np.cumsum(sums)[:-1])).astype(np.int64)
 
     @ray.remote
-    def cut_block(t: pa.Table, offset: int) -> pa.Table:
+    def cut_block(t, offset: int) -> pa.Table:
+        t = as_arrow_block(t)
         if t.num_rows == 0 or value_column not in t.column_names:
             return t
         if offset >= budget:

@@ -19,3 +19,21 @@ def ray_session():
     ctx.enable_progress_bars = False
     yield
     ray.shutdown()
+
+
+@pytest.fixture
+def ray_execs(monkeypatch):
+    """Callable returning how many Ray Data executions
+    (`StreamingExecutor.execute` calls) this process started since the
+    fixture was set up. The wrap is undone on teardown."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    calls = []
+    original = StreamingExecutor.execute
+
+    def execute(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return lambda: len(calls)

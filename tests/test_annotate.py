@@ -14,6 +14,7 @@ from opentapioca_ray.pipelines.annotate import (
     train_annotation_model,
 )
 from opentapioca_ray.stages.classify import ClassifierParams, evaluate_predictions
+from opentapioca_ray.state.linear import LinearModel
 
 
 def entities():
@@ -211,3 +212,39 @@ def test_build_design_matrix_matches_per_doc_path(ray_session):
     assert X.shape == (len(want), 15) and len(doc_hash) == len(want)
     assert sorted(zip(map(tuple, np.round(X, 9)), y.tolist())) == sorted(want)
     assert y.sum() > 0
+
+
+def _fixed_model(nb_steps: int) -> LinearModel:
+    """A model fitted in-process on random rows: no Ray execution."""
+    rng = np.random.RandomState(5)
+    X = rng.randn(40, 5 * (nb_steps + 1))
+    return LinearModel(C=0.1, max_iter=50).fit(X, (X[:, 0] > 0).astype(int))
+
+
+def test_annotate_and_collect_run_once(ray_session, ray_execs):
+    """Tagging, the classify exchange and the collect of the result are
+    one Ray Data execution, whether the input is `annotate`'s documents
+    or lazy tags handed to `classify_dataset`."""
+    import ray.data
+
+    from opentapioca_ray.stages.classify import classify_dataset
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    docs, _ = corpus()
+    bow, pr = bow_and_pagerank()
+    params = ClassifierParams(nb_steps=2)
+    model = _fixed_model(params.nb_steps)
+    docs_ds = ray.data.from_items(docs)
+
+    start = ray_execs()
+    annotated = list(arrow_blocks(annotate(docs_ds, entities(), bow, pr, model, params)))
+    assert ray_execs() - start == 1
+
+    start = ray_execs()
+    lazy_tags = tag_documents(docs_ds, entities(), bow, pr)
+    classified = list(arrow_blocks(classify_dataset(lazy_tags, model, params)))
+    assert ray_execs() - start == 1
+
+    n_tags = tag_documents(docs_ds, entities(), bow, pr).count()
+    assert sum(t.num_rows for t in annotated) == n_tags
+    assert sum(t.num_rows for t in classified) == n_tags

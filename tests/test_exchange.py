@@ -9,6 +9,8 @@ import pytest
 
 from opentapioca_ray.stages.exchange import (
     _coarse_codes,
+    arrow_blocks,
+    block_refs,
     coarse_group_apply,
     segment_ids,
     segment_starts,
@@ -98,3 +100,28 @@ def test_popcount64_matches_python():
     got = _popcount64(vals)
     want = [bin(int(v)).count("1") for v in vals]
     assert got.tolist() == want
+
+
+def test_arrow_blocks_runs_a_lazy_plan_once(ray_session, ray_execs):
+    """A lazy pandas-lineage dataset is executed once by `arrow_blocks`
+    (no second run to fetch a schema) and every block arrives as a
+    pa.Table; a materialized one is not executed again."""
+    import ray.data
+
+    df = pd.DataFrame({"k": np.arange(60) % 7, "v": np.arange(60)})
+    lazy = ray.data.from_pandas(df).groupby("k").map_groups(
+        lambda g: g.assign(n=len(g)), batch_format="pandas"
+    )
+    start = ray_execs()
+    blocks = list(arrow_blocks(lazy))
+    assert ray_execs() - start == 1
+    assert blocks and all(isinstance(t, pa.Table) for t in blocks)
+    got = pa.concat_tables(blocks).to_pandas().sort_values("v")
+    assert got["v"].tolist() == list(range(60))
+    assert (got["n"] == got["k"].map(df["k"].value_counts())).all()
+
+    done = lazy.materialize()
+    start = ray_execs()
+    assert sum(t.num_rows for t in arrow_blocks(done)) == 60
+    assert len(block_refs(done)) == done.num_blocks()
+    assert ray_execs() == start

@@ -128,3 +128,30 @@ def test_linkage_checkpointed_stages_and_resume(ray_session, tmp_path):
     m3 = ckpt3.metrics()
     assert m3["files"]["fingerprint"] == m["files"]["fingerprint"]
     assert m3["clusters"]["fingerprint"] != m["clusters"]["fingerprint"]
+
+
+def test_linkage_execution_count(ray_session, corpus, ray_execs):
+    """`linkage_clusters` plus a collect of the clusters runs each stage's
+    plan once. On this 100-file corpus every adaptive stage takes its
+    driver regime, and the executions are:
+      1. corpus_stats: the per-block partial counts (materialize)
+      2. prefilter_singleton_blocks: the band rows (materialize)
+      3. prefilter_singleton_blocks: the block_key column (collect)
+      4. build_id_pairs: the surviving band rows (materialize)
+      5. attach_pair_tokens: the token rows of the paired files (collect)
+      6. linkage_clusters: the scored pairs (materialize)
+      7. connected_components: the match edges (materialize)
+      8. the caller's collect of the clusters
+    A collect that also fetches the dataset schema (`to_arrow_refs`)
+    re-runs a lazy plan and adds executions to 3 and 5."""
+    import ray.data
+
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    files_df, _ = corpus
+    files_ds = ray.data.from_pandas(files_df)
+    start = ray_execs()
+    clusters, _ = linkage_clusters(files_ds, model=None, threshold=0.2)
+    nodes = sum(t.num_rows for t in arrow_blocks(clusters))
+    assert ray_execs() - start == 8
+    assert nodes > 0
