@@ -332,22 +332,25 @@ def _pair_arrays(keys, ids, sigs, max_block_size: int, window: int):
     return np.concatenate(lefts), np.concatenate(rights), np.concatenate(caps)
 
 
-def _driver_id_pairs(cands_ds, max_block_size: int, window: int):
-    """Small-regime pair generation: surviving candidate rows (already a
-    tiny fraction after the singleton prefilter) are collected as three
-    numpy columns and paired + cross-band-deduplicated vectorized on the
-    driver — zero shuffles. Same semantics (all-pairs / sorted-neighborhood
-    skew guard / Max(capped) / band count) as the distributed path."""
-    import ray
+def _driver_id_pairs(blocks_ds, survivors, max_block_size: int, window: int):
+    """Small-regime pair generation: each materialized band block is
+    filtered against the `survivors` key set as it is read (None keeps
+    every row), and the surviving rows — a tiny fraction of the band rows —
+    are held as three numpy columns and paired + cross-band-deduplicated
+    vectorized on the driver, with zero shuffles. Same semantics
+    (all-pairs / sorted-neighborhood skew guard / Max(capped) / band
+    count) as the distributed path."""
+    import pyarrow.compute as pc
     import ray.data as rd
 
     DRIVER_COLLECTS["pairs_proportional"] += 1  # candidate rows
     key_chunks, id_chunks, sig_chunks = [], [], []
-    for t in arrow_blocks(cands_ds):
+    for t in arrow_blocks(blocks_ds):
         if t.num_rows == 0 or "block_key" not in t.column_names:
             continue
-        col = t.column("block_key")
-        key_chunks.extend(col.chunks if isinstance(col, pa.ChunkedArray) else [col])
+        if survivors is not None:
+            t = t.filter(pc.is_in(t.column("block_key"), value_set=survivors))
+        key_chunks.extend(t.column("block_key").chunks)
         id_chunks.append(t.column("file_id").to_numpy(zero_copy_only=False))
         sig_chunks.append(t.column("sig_head").to_numpy(zero_copy_only=False))
     empty = pa.schema(
@@ -403,10 +406,22 @@ def build_id_pairs(
     (block_key, file_id, sig_head); candidate pairs are deduplicated across
     bands BEFORE any payload is attached or scored.
 
-    Scale-adaptive: surviving candidate rows below `_DRIVER_PAIRS_LIMIT`
-    pair up vectorized on the driver (no shuffle); above, the
-    groupby(block_key) + groupby(pair) shuffles run distributed."""
-    from opentapioca_ray.stages.pairs import prefilter_singleton_blocks
+    Scale-adaptive. Driver regime: the band rows are materialized in ONE
+    Ray Data execution; the singleton-key count (`surviving_keys`) reads
+    only their key column, and its surviving-row count decides the regime
+    with no further execution. At most `_DRIVER_PAIRS_LIMIT` surviving
+    rows are read back, filtered block by block, and paired vectorized on
+    the driver (no shuffle). Above that, or with `mode="shuffle"`, the
+    groupby(block_key) + groupby(pair) coarse shuffles run distributed.
+    `prefilter_mode="shuffle"` (under "auto": more band rows than
+    DRIVER_COMBINE_LIMIT) counts the keys with the distributed
+    `prefilter_singleton_blocks` instead."""
+    from opentapioca_ray.stages.pairs import (
+        DRIVER_COMBINE_LIMIT,
+        keep_keys,
+        prefilter_singleton_blocks,
+        surviving_keys,
+    )
 
     blocks = files_ds.map_batches(
         lambda b: blocking_batch(
@@ -433,23 +448,9 @@ def build_id_pairs(
         # kernel drops singletons vectorized at ~zero cost — same
         # reasoning as the forced-shuffle branch below); the band-row
         # count is exact and free (blocking emits `bands` rows per file).
-        from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
-
         if files_ds.count() * bands > DRIVER_COMBINE_LIMIT:
             mode = "shuffle"
-            candidates = blocks
-        else:
-            candidates = prefilter_singleton_blocks(
-                blocks, mode=prefilter_mode
-            ).materialize()
-            mode = (
-                "driver"
-                if candidates.count() <= _DRIVER_PAIRS_LIMIT
-                else "shuffle"
-            )
-    elif mode == "driver":
-        candidates = prefilter_singleton_blocks(blocks, mode=prefilter_mode).materialize()
-    else:
+    if mode == "shuffle":
         # Shuffle mode: NO singleton prefilter. The prefilter exists to
         # shrink a per-key exchange, but the coarse pair kernel drops
         # singleton blocks vectorized at ~zero cost — and the prefilter's
@@ -457,8 +458,20 @@ def build_id_pairs(
         # (5M distinct keys), strictly more expensive than the one
         # coarse-partition sort (P distinct keys) it would be saving.
         candidates = blocks
-    if mode == "driver":
-        return _driver_id_pairs(candidates, max_block_size, window)
+    else:
+        blocks = blocks.materialize()
+        if prefilter_mode == "auto":
+            prefilter_mode = (
+                "driver" if blocks.count() <= DRIVER_COMBINE_LIMIT else "shuffle"
+            )
+        if prefilter_mode == "driver":
+            survivors, n_survivors = surviving_keys(arrow_blocks(blocks))
+        else:
+            blocks = prefilter_singleton_blocks(blocks, mode="shuffle").materialize()
+            survivors, n_survivors = None, blocks.count()
+        if mode == "driver" or n_survivors <= _DRIVER_PAIRS_LIMIT:
+            return _driver_id_pairs(blocks, survivors, max_block_size, window)
+        candidates = blocks if survivors is None else keep_keys(blocks, survivors)
 
     # Scale path: shuffle by a COARSE partition key (hash of block_key mod
     # P) so each group holds many whole blocks and is paired with the same
@@ -795,9 +808,9 @@ def linkage_clusters(
     scaling benchmark measures. Connected components keeps its own
     scale-adaptive threshold even here: its input is the derived MATCH-EDGE
     set (a tiny fraction of the corpus by construction), so a multi-node
-    100TB run takes the same local union-find below `local_threshold`
-    edges; the shuffle star rounds are forced and equivalence-tested
-    separately (tests/test_cc.py, local_threshold=0).
+    100TB run takes the same vectorized driver-side labelling below
+    `local_threshold` edges; the shuffle star rounds are forced and
+    equivalence-tested separately (tests/test_cc.py, local_threshold=0).
 
     The band shuffle ships ids only: pairs are deduplicated across bands
     first, then token payloads are attached to the surviving pairs by a

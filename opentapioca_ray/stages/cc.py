@@ -7,8 +7,11 @@ rounds. Each round is ONE coarse-partition exchange (hash(node) % P, see
 stages/exchange.py) whose partition kernel processes every node of the
 partition with vectorized numpy — NOT a per-node `map_groups`, which pays
 per-group pandas overhead on millions of near-singleton nodes. The driver
-loop stops when the edge multiset digest stabilizes. A union-find
-`connected_components_local` provides the oracle for tests.
+loop stops when the edge multiset digest stabilizes. Small edge sets
+skip the rounds: one vectorized min-label / pointer-jumping kernel
+(`_local_components`, also the per-partition pre-contraction) labels
+them on the driver. The Python union-find `connected_components_local`
+is the oracle for tests.
 
 Edges are undirected (u, v) int64 pairs; output is (node, component) where
 component = min node id of the cluster (singletons excluded — callers union
@@ -77,19 +80,12 @@ def _small_star_partition(df: pd.DataFrame) -> pd.DataFrame:
     )
 
 
-def _contract_partition(df: pd.DataFrame) -> pd.DataFrame:
-    """Local pre-contraction: replace one coarse partition's edge set by the
-    star edges (node -> local min root) of its LOCAL connectivity.
-    Connectivity-equivalent (a spanning star per local component), so the
-    global star rounds start from depth-1 chains instead of arbitrary local
-    chains — typically 1 global round instead of 3-4. Fully vectorized:
-    min-label propagation with pointer jumping on dense codes (each sweep is
-    O(E) numpy; sum of labels strictly decreases, so the fixpoint loop
-    terminates in O(log n) sweeps)."""
-    u = df["u"].to_numpy(dtype=np.int64)
-    v = df["v"].to_numpy(dtype=np.int64)
-    if len(u) == 0:
-        return pd.DataFrame({"u": [], "v": []}).astype(_EDGE_SCHEMA)
+def _local_components(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) int64 edge arrays -> (nodes, roots): every node ascending, and
+    the smallest node id of its component. Vectorized min-label
+    propagation with pointer jumping on dense codes: each sweep is O(E)
+    numpy; labels only decrease, so the fixpoint loop terminates, in
+    O(log n) sweeps. A self-loop keeps its node as its own root."""
     nodes, codes = np.unique(np.concatenate((u, v)), return_inverse=True)
     uc, vc = codes[: len(u)], codes[len(u) :]
     lab = np.arange(len(nodes), dtype=np.int64)
@@ -102,10 +98,24 @@ def _contract_partition(df: pd.DataFrame) -> pd.DataFrame:
         if np.array_equal(new, lab):
             break
         lab = new
-    mask = lab != np.arange(len(nodes))
     # nodes[] is sorted ascending, so code order == value order: the min
-    # code IS the min node id, and every emitted edge is high -> low
-    return pd.DataFrame({"u": nodes[mask], "v": nodes[lab[mask]]})
+    # code IS the min node id
+    return nodes, nodes[lab]
+
+
+def _contract_partition(df: pd.DataFrame) -> pd.DataFrame:
+    """Local pre-contraction: replace one coarse partition's edge set by the
+    star edges (node -> local min root) of its LOCAL connectivity.
+    Connectivity-equivalent (a spanning star per local component), so the
+    global star rounds start from depth-1 chains instead of arbitrary local
+    chains — typically 1 global round instead of 3-4."""
+    u = df["u"].to_numpy(dtype=np.int64)
+    v = df["v"].to_numpy(dtype=np.int64)
+    if len(u) == 0:
+        return pd.DataFrame({"u": [], "v": []}).astype(_EDGE_SCHEMA)
+    nodes, roots = _local_components(u, v)
+    mask = roots != nodes  # every emitted edge is high -> low
+    return pd.DataFrame({"u": nodes[mask], "v": roots[mask]})
 
 
 def _both_directions(batch: pa.Table) -> pa.Table:
@@ -147,36 +157,38 @@ def connected_components(
 ):
     """edges Dataset (u, v) -> assignments Dataset (node, component).
 
-    Scale-adaptive: when the (deduplicated) edge set fits comfortably on one
-    node (< `local_threshold` edges) the transitive closure runs as a single
-    union-find task — match edges are a tiny fraction of input rows, so this
-    is the common case even for huge corpora. Above the threshold it runs
-    the large-star/small-star rounds, one coarse-partition exchange each
-    (O(log n) rounds); stop when the edge digest is stable. Pass
-    `local_threshold=0` to force the distributed path (tests do).
+    Scale-adaptive: when the edge set fits comfortably on one node
+    (<= `local_threshold` edges) the edges are collected as numpy columns,
+    labelled on the driver by the vectorized `_local_components` kernel
+    and returned as ONE Arrow block, nodes ascending — match edges are a
+    tiny fraction of input rows, so this is the common case even for huge
+    corpora. Above the threshold it runs the large-star/small-star rounds,
+    one coarse-partition exchange each (O(log n) rounds); stop when the
+    edge digest is stable. Pass `local_threshold=0` to force the
+    distributed path (tests do).
     """
-    import ray
-
     edges_ds = edges_ds.materialize()
     if edges_ds.count() <= local_threshold:
         import ray.data
 
         from opentapioca_ray.stages.exchange import arrow_blocks
 
-        pairs: list[tuple[int, int]] = []
+        us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
         for t in arrow_blocks(edges_ds):
             if t.num_rows == 0 or "u" not in t.column_names:
                 continue
-            pairs.extend(
-                zip(t.column("u").to_pylist(), t.column("v").to_pylist())
+            us.append(t.column("u").to_numpy(zero_copy_only=False).astype(np.int64))
+            vs.append(t.column("v").to_numpy(zero_copy_only=False).astype(np.int64))
+        nodes, roots = _local_components(np.concatenate(us), np.concatenate(vs))
+        # one block: `from_items` would build one block per row
+        return ray.data.from_arrow(
+            pa.table(
+                {
+                    "node": pa.array(nodes, pa.int64()),
+                    "component": pa.array(roots, pa.int64()),
+                }
             )
-        comp = connected_components_local(pairs)
-        items = [{"node": int(n), "component": int(c)} for n, c in sorted(comp.items())]
-        if not items:
-            return ray.data.from_arrow(
-                pa.table({"node": pa.array([], pa.int64()), "component": pa.array([], pa.int64())})
-            )
-        return ray.data.from_items(items)
+        )
 
     # every input node must appear in the output even if its edges are
     # self-loops (dropped by the star rounds) — union self-assignments in
@@ -192,7 +204,7 @@ def connected_components(
 
     self_assign = edges_ds.map_batches(_self_assign, batch_format="pyarrow")
 
-    # local union-find pre-contraction (one coarse exchange): each partition
+    # local pre-contraction (one coarse exchange): each partition
     # collapses its local chains to depth-1 stars before the global rounds
     ds = coarse_group_apply(
         edges_ds.map_batches(_high_low, batch_format="pyarrow"),

@@ -138,53 +138,18 @@ def prefilter_singleton_blocks(
       at 82M band rows where this shape runs in coarse-exchange time)."""
     import pyarrow as pa
     import pyarrow.compute as pc
-    import ray
 
     blocks_ds = blocks_ds.materialize()  # consumed twice: count + filter
     if mode == "auto":
         mode = "driver" if blocks_ds.count() <= driver_limit else "shuffle"
 
     if mode == "driver":
-        key_col = blocks_ds.select_columns(["block_key"])
-        chunks = []
-        for t in arrow_blocks(key_col):
-            if t.num_rows == 0 or "block_key" not in t.column_names:
-                continue
-            col = t.column("block_key")
-            chunks.extend(col.chunks if isinstance(col, pa.ChunkedArray) else [col])
-        if not chunks:
+        survivors, _ = surviving_keys(
+            arrow_blocks(blocks_ds.select_columns(["block_key"])), min_size, max_size
+        )
+        if survivors is None:
             return blocks_ds
-        key_arr = pa.chunked_array(chunks).combine_chunks()
-        if pa.types.is_string(key_arr.type) or pa.types.is_large_string(key_arr.type):
-            # string keys: dictionary-encode once, count int codes
-            enc = key_arr.dictionary_encode()
-            codes = enc.indices.to_numpy(zero_copy_only=False)
-            counts = np.bincount(codes, minlength=len(enc.dictionary))
-            sel = counts >= min_size
-            if max_size is not None:
-                sel &= counts <= max_size
-            survivors = enc.dictionary.filter(pa.array(sel))
-        else:
-            # fixed-width keys: avoid a full 64-bit sort. Two-pass exact
-            # count: (1) bincount over 2^28 folded buckets eliminates the
-            # overwhelmingly-singleton majority (false positives from bucket
-            # collisions survive to pass 2, never false negatives); (2)
-            # exact np.unique over the small surviving subset.
-            vals = key_arr.to_numpy(zero_copy_only=False)
-            if len(vals) > 4_000_000:
-                nbuck = 1 << 26
-                buckets = (vals & (nbuck - 1)).astype(np.int64)
-                bc = np.bincount(buckets, minlength=nbuck)
-                maybe = vals[bc[buckets] >= min_size]
-                del bc, buckets
-            else:
-                maybe = vals
-            uniq, counts = np.unique(maybe, return_counts=True)
-            sel = counts >= min_size
-            if max_size is not None:
-                sel &= counts <= max_size
-            survivors = pa.array(uniq[sel], type=key_arr.type)
-        keys_ref = ray.put(survivors)
+        return keep_keys(blocks_ds, survivors)
     else:
         from opentapioca_ray.stages.aggregates import partial_sum_count
         from opentapioca_ray.stages.exchange import coarse_semi_join
@@ -215,9 +180,63 @@ def prefilter_singleton_blocks(
             schema=arrow_schema,
         )
 
+
+def surviving_keys(tables, min_size: int = 2, max_size: int | None = None):
+    """Counting kernel of the singleton prefilter, on the driver: tables
+    carrying a `block_key` column -> (the keys occurring between
+    `min_size` and `max_size` times, the number of rows that carry them),
+    or (None, 0) when no table has rows. Only the key column is kept, so
+    memory is bounded by the row count, NOT content size."""
+    chunks = []
+    for t in tables:
+        if t.num_rows == 0 or "block_key" not in t.column_names:
+            continue
+        chunks.extend(t.column("block_key").chunks)
+    if not chunks:
+        return None, 0
+    key_arr = pa.chunked_array(chunks).combine_chunks()
+    if pa.types.is_string(key_arr.type) or pa.types.is_large_string(key_arr.type):
+        # string keys: dictionary-encode once, count int codes
+        enc = key_arr.dictionary_encode()
+        codes = enc.indices.to_numpy(zero_copy_only=False)
+        counts = np.bincount(codes, minlength=len(enc.dictionary))
+        sel = counts >= min_size
+        if max_size is not None:
+            sel &= counts <= max_size
+        survivors = enc.dictionary.filter(pa.array(sel))
+    else:
+        # fixed-width keys: avoid a full 64-bit sort. Two-pass exact
+        # count: (1) bincount over 2^26 folded buckets eliminates the
+        # overwhelmingly-singleton majority (false positives from bucket
+        # collisions survive to pass 2, never false negatives); (2)
+        # exact np.unique over the small surviving subset.
+        vals = key_arr.to_numpy(zero_copy_only=False)
+        if len(vals) > 4_000_000:
+            nbuck = 1 << 26
+            buckets = (vals & (nbuck - 1)).astype(np.int64)
+            bc = np.bincount(buckets, minlength=nbuck)
+            maybe = vals[bc[buckets] >= min_size]
+            del bc, buckets
+        else:
+            maybe = vals
+        uniq, counts = np.unique(maybe, return_counts=True)
+        sel = counts >= min_size
+        if max_size is not None:
+            sel &= counts <= max_size
+        survivors = pa.array(uniq[sel], type=key_arr.type)
+    return survivors, int(counts[sel].sum())
+
+
+def keep_keys(blocks_ds, survivors: pa.Array):
+    """Distributed filter: the rows of `blocks_ds` whose `block_key` is in
+    `survivors` (broadcast once via `ray.put`)."""
+    import pyarrow.compute as pc
+    import ray
+
+    keys_ref = ray.put(survivors)
+
     def keep(batch: pa.Table) -> pa.Table:
-        keys_arr = ray.get(keys_ref)
-        mask = pc.is_in(batch.column("block_key"), value_set=keys_arr)
+        mask = pc.is_in(batch.column("block_key"), value_set=ray.get(keys_ref))
         return batch.filter(mask)
 
     return blocks_ds.map_batches(keep, batch_format="pyarrow")

@@ -128,6 +128,18 @@ def broadcast_semi_join(ds, keys: np.ndarray, left_key: str, anti: bool = False)
     return ds.map_batches(fil, batch_format="pyarrow")
 
 
+def _schema_once(ds):
+    """(ds, schema) without a `limit=1` execution of a lazy `ds`'s
+    upstream: the schema Ray already knows, else `ds` materialized once
+    (the exchange consumes it anyway) and its schema read from the block
+    metadata."""
+    schema = ds.schema(fetch_if_missing=False)
+    if schema is None:
+        ds = ds.materialize()
+        schema = ds.schema()
+    return ds, schema
+
+
 def shuffle_semi_join(
     ds, build_ds, left_key: str, build_key: str, anti: bool = False, n_parts=None
 ):
@@ -144,7 +156,7 @@ def shuffle_semi_join(
 
     # both union legs must share the probe schema (Ray 2.49 shuffles choke
     # on heterogenous blocks); build rows carry nulls in every payload column
-    schema = ds.schema()
+    ds, schema = _schema_once(ds)
     probe_fields = list(zip(schema.names, schema.types))
 
     def tag_probe(batch: pa.Table) -> pa.Table:
@@ -232,9 +244,13 @@ def shuffle_join(
 
     from opentapioca_ray.stages.exchange import coarse_group_apply
 
-    schema = probe_ds.schema()
+    probe_ds, schema = _schema_once(probe_ds)
     probe_fields = list(zip(schema.names, schema.types))
-    bschema = build_ds.schema()
+    build_ds, bschema = _schema_once(
+        build_ds.select_columns(
+            [build_key] + [c for c in payload_columns if c != build_key]
+        )
+    )
     pay_fields = [
         (c, bschema.types[bschema.names.index(c)]) for c in payload_columns
     ]
@@ -265,9 +281,7 @@ def shuffle_join(
         return out.append_column("__side", pa.array(np.ones(n, dtype=np.int8)))
 
     probe = probe_ds.map_batches(tag_probe, batch_format="pyarrow")
-    build = build_ds.select_columns(
-        [build_key] + [c for c in payload_columns if c != build_key]
-    ).map_batches(tag_build, batch_format="pyarrow")
+    build = build_ds.map_batches(tag_build, batch_format="pyarrow")
     both = probe.union(build)
     probe_cols = [n for n, _ in probe_fields]
     pay_cols = [c for c, _ in pay_fields]

@@ -470,11 +470,16 @@ def grouped_sequence(
             }
         )
 
-    cols = [user_column, ts_column, value_column] + (
-        ["event_id"] if "event_id" in events_ds.schema().names else []
-    )
+    def select(batch: pa.Table) -> pa.Table:
+        # event_id is optional: picked per batch, so the input's schema is
+        # never fetched (a separate execution on a lazy dataset)
+        cols = [user_column, ts_column, value_column, "event_id"]
+        return batch.select([c for c in cols if c in batch.column_names])
+
     return coarse_group_apply(
-        events_ds.select_columns(cols), user_column, per_partition
+        events_ds.map_batches(select, batch_format="pyarrow"),
+        user_column,
+        per_partition,
     )
 
 

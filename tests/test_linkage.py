@@ -135,15 +135,15 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
     plan once. On this 100-file corpus every adaptive stage takes its
     driver regime, and the executions are:
       1. corpus_stats: the per-block partial counts (materialize)
-      2. prefilter_singleton_blocks: the band rows (materialize)
-      3. prefilter_singleton_blocks: the block_key column (collect)
-      4. build_id_pairs: the surviving band rows (materialize)
-      5. attach_pair_tokens: the token rows of the paired files (collect)
-      6. linkage_clusters: the scored pairs (materialize)
-      7. connected_components: the match edges (materialize)
-      8. the caller's collect of the clusters
+      2. build_id_pairs: the band rows (materialize); the singleton-key
+         count and the driver pairing read those blocks, no execution
+      3. attach_pair_tokens: the token rows of the paired files (collect)
+      4. linkage_clusters: the scored pairs (materialize)
+      5. connected_components: the match edges (materialize); the local
+         regime returns its labels as one `from_arrow` block
+      6. the caller's collect of the clusters
     A collect that also fetches the dataset schema (`to_arrow_refs`)
-    re-runs a lazy plan and adds executions to 3 and 5."""
+    re-runs a lazy plan and adds an execution to 3."""
     import ray.data
 
     from opentapioca_ray.stages.exchange import arrow_blocks
@@ -153,5 +153,48 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
     start = ray_execs()
     clusters, _ = linkage_clusters(files_ds, model=None, threshold=0.2)
     nodes = sum(t.num_rows for t in arrow_blocks(clusters))
-    assert ray_execs() - start == 8
+    assert ray_execs() - start == 6
     assert nodes > 0
+
+
+def test_build_id_pairs_driver_regime_matches_shuffle(ray_session, monkeypatch):
+    """The driver regime (one execution: band rows materialized, keys
+    counted and pairs built from those blocks) emits the same
+    (left_id, right_id, capped, nb_bands) as the forced shuffle path, on a
+    corpus whose two sets of 8 identical files form blocks over `max_block_size`; and
+    so does the distributed fallback above `_DRIVER_PAIRS_LIMIT`."""
+    import ray.data
+
+    from opentapioca_ray.pipelines import linkage
+    from opentapioca_ray.pipelines.linkage import DRIVER_COLLECTS, build_id_pairs
+
+    files_df, _ = synthesize_files(
+        n_clusters=4, cluster_size=3, n_singletons=20, seed=11
+    )
+    twins, _ = synthesize_files(
+        n_clusters=2, cluster_size=8, n_singletons=0, edits=0, seed=12
+    )
+    twins["file_id"] += len(files_df)
+    files = ray.data.from_pandas(pd.concat([files_df, twins])).materialize()
+    cols = ["left_id", "right_id", "capped", "nb_bands"]
+
+    def pairs(mode):
+        out = build_id_pairs(files, max_block_size=4, window=2, mode=mode)
+        return (
+            out.to_pandas()[cols]
+            .astype("int64")
+            .sort_values(cols)
+            .reset_index(drop=True)
+        )
+
+    before = DRIVER_COLLECTS["pairs_proportional"]
+    driver = pairs("auto")
+    assert DRIVER_COLLECTS["pairs_proportional"] == before + 1
+    shuffle = pairs("shuffle")
+    assert (driver["capped"] > 0).any()
+    pd.testing.assert_frame_equal(driver, shuffle)
+
+    monkeypatch.setattr(linkage, "_DRIVER_PAIRS_LIMIT", 0)
+    fallback = pairs("auto")
+    assert DRIVER_COLLECTS["pairs_proportional"] == before + 1
+    pd.testing.assert_frame_equal(fallback, shuffle)

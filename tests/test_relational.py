@@ -147,3 +147,58 @@ def test_relational_division(ray_session):
         ray.data.from_items(rows).repartition(3), "k", "a"
     ).to_pandas()
     assert sorted(out["k"].tolist()) == [1, 3]
+
+
+def test_shuffle_joins_run_no_limit_execution(ray_session, monkeypatch):
+    """`shuffle_join`, `shuffle_semi_join` and `grouped_sequence` on lazy
+    `map_batches` inputs never run a `limit=1` execution of the upstream
+    to fetch a schema."""
+    import datetime
+
+    import ray.data
+    from ray.data._internal.execution.operators.limit_operator import LimitOperator
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    from opentapioca_ray.stages.exchange import arrow_blocks
+    from opentapioca_ray.stages.relational import shuffle_join, shuffle_semi_join
+    from opentapioca_ray.stages.windows import grouped_sequence
+
+    limits = []
+    original = StreamingExecutor.execute
+
+    def execute(self, dag, *args, **kwargs):
+        stack = [dag]
+        while stack:
+            op = stack.pop()
+            limits.append(isinstance(op, LimitOperator))
+            stack.extend(op.input_dependencies)
+        return original(self, dag, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+
+    def lazy(table):
+        return ray.data.from_arrow(table).map_batches(
+            lambda b: b, batch_format="pyarrow"
+        )
+
+    facts = pa.table({"fk": pa.array([20, 10, 99, 20], pa.int64()), "x": [1, 2, 3, 4]})
+
+    def rows(ds, cols):
+        t = pa.concat_tables([b for b in arrow_blocks(ds) if b.num_rows])
+        return sorted(zip(*(t.column(c).to_pylist() for c in cols)))
+
+    joined = shuffle_join(lazy(facts), lazy(_dim()), "fk", "k", ["name"], n_parts=4)
+    assert rows(joined, ["fk", "x", "name"]) == [(10, 2, "a"), (20, 1, "b"), (20, 4, "b")]
+    semi = shuffle_semi_join(lazy(facts), lazy(_dim()), "fk", "k", n_parts=4)
+    assert rows(semi, ["fk", "x"]) == [(10, 2), (20, 1), (20, 4)]
+    t0 = datetime.datetime(2024, 1, 1)
+    events = pa.table(
+        {
+            "user_id": pa.array([1, 1, 2], pa.int64()),
+            "ts": pa.array([t0, t0 + datetime.timedelta(seconds=1), t0]),
+            "event_type": ["b", "a", "x"],
+        }
+    )
+    seq = grouped_sequence(lazy(events), "user_id", "ts", "event_type")
+    assert rows(seq, ["user_id", "seq"]) == [(1, "b,a"), (2, "x")]
+    assert limits and not any(limits)
