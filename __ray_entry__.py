@@ -59,21 +59,17 @@ def _ngram_cc(sf_dir: str):
         return hit
     from opentapioca_ray.stages.cc import connected_components
     from opentapioca_ray.stages.dedup import ngram_jaccard_pairs
+    from opentapioca_ray.stages.exchange import right_size
 
-    def _compact(ds, rows_per_block: int = 100_000):
-        """Shuffle outputs arrive as one near-empty block per partition
-        (e.g. 477 rows across 200 blocks); every downstream exchange then
-        pays a 200-task launch. Re-block to the data's actual size —
-        count() is free on a materialized dataset."""
-        n = max(1, min(1024, ds.count() // rows_per_block + 1))
-        return ds.repartition(n).materialize() if ds.num_blocks() > 4 * n else ds
-
-    pairs = _compact(
+    # shuffle outputs arrive as one near-empty block per partition (e.g.
+    # 477 rows across 200 blocks); re-block both before their consumers'
+    # exchanges so those don't pay a 200-task launch
+    pairs = right_size(
         ngram_jaccard_pairs(
             _docs(sf_dir), id_column="doc_id", text_column="text", k=3, threshold=0.5
         ).materialize()
     )
-    comp = _compact(
+    comp = right_size(
         connected_components(pairs.select_columns(["u", "v"])).materialize()
     )
     _NGRAM_CC_CACHE[key] = (pairs, comp)

@@ -278,16 +278,11 @@ def cmd_train_linkage(args) -> int:
     _ensure_ray()
     import pyarrow.parquet as pq
 
-    from opentapioca_ray.pipelines.linkage import (
-        repo_in_degree_prior,
-        train_idf,
-        train_linkage_model_ds,
-    )
+    from opentapioca_ray.pipelines.linkage import corpus_stats, train_linkage_model_ds
     from opentapioca_ray.sources.files import read_files
 
     files_ds = read_files(args.sf_dir)
-    idf = train_idf(files_ds)
-    prior = repo_in_degree_prior(files_ds)
+    idf, prior = corpus_stats(files_ds)
     # the labeled-pairs table is small by construction; the corpus is not —
     # train_linkage_model_ds semi-joins the corpus down to the referenced
     # file ids distributedly instead of a full-corpus to_pandas here

@@ -1,9 +1,10 @@
 """Flagship record-linkage pipeline (BASELINE.json north_star):
 
 files -> blocking (MinHash-LSH map_batches) -> candidate pairs
-(groupby(block_key) with skew guard) -> pairwise scoring (stateful actor
-pool) -> threshold -> match edges -> large-star/small-star connected
-components -> clusters.
+(`stages/pairs.block_pairs` per band block, with its skew guard) ->
+cross-band dedup -> token attach (reduce-side join) -> pairwise scoring
+(stateless map_batches on the warm worker pool) -> threshold -> match
+edges -> connected components -> clusters.
 
 Every wide step is a keyed shuffle with explicit keys (SURVEY.md §7.3);
 broadcast state (IDF stats, repo prior, model) ships via `ray.put` once.
@@ -19,6 +20,7 @@ from opentapioca_ray.stages.cc import connected_components
 from opentapioca_ray.stages.pairs import (
     PairFeaturizer,
     PairScorerStage,
+    block_pairs,
     blocking_batch,
 )
 from opentapioca_ray.state.linear import LinearModel
@@ -29,60 +31,9 @@ from opentapioca_ray.stages.exchange import arrow_blocks
 # Broadcast corpus statistics
 # ---------------------------------------------------------------------------
 
-def train_idf(
-    files_ds,
-    text_column: str = "content",
-    max_vocab: int = 500_000,
-    driver_limit: int = 5_000_000,
-) -> dict:
-    """Document-frequency per token -> idf = log(N / (1 + df)).
-
-    Distinct-per-row extraction is combined inside `map_batches` before any
-    exchange (same shuffle shape as BOW training, SURVEY.md A1). Scale-
-    adaptive final merge: when the partial (word, count) rows fit under
-    `driver_limit` they merge with one vectorized pass on the driver (no
-    shuffle); above that a distributed groupby(word).sum runs first. The
-    result dict is the broadcast small side either way; vocabulary beyond
-    `max_vocab` falls back to the default idf."""
-    import ray
-    from ray.data.aggregate import Sum
-
-    from opentapioca_ray.state.bow import partial_word_counts
-
-    n_docs = files_ds.count()
-    partial = files_ds.map_batches(
-        lambda b: partial_word_counts(b, text_column),
-        batch_format="pyarrow",
-    ).materialize()
-
-    idf: dict[str, float] = {}
-    if partial.count() <= driver_limit:
-        word_chunks, cnt_chunks = [], []
-        for t in arrow_blocks(partial):
-            if t.num_rows == 0 or "word" not in t.column_names:
-                continue
-            col = t.column("word")
-            word_chunks.extend(col.chunks if isinstance(col, pa.ChunkedArray) else [col])
-            cnt_chunks.append(t.column("count").to_numpy(zero_copy_only=False))
-        if word_chunks:
-            # dictionary-encode: the weighted merge runs on int codes
-            enc = pa.chunked_array(word_chunks).combine_chunks().dictionary_encode()
-            codes = enc.indices.to_numpy(zero_copy_only=False)
-            cnts = np.concatenate(cnt_chunks).astype(np.int64)
-            sums = np.bincount(codes, weights=cnts).astype(np.int64)
-            vals = np.log(n_docs / (1.0 + sums))
-            idf = dict(zip(enc.dictionary.to_pylist(), vals.tolist()))
-    else:
-        counts = partial.groupby("word").aggregate(Sum("count", alias_name="count"))
-        for t in arrow_blocks(counts):
-            if t.num_rows == 0 or "word" not in t.column_names:
-                continue
-            for w, c in zip(t.column("word").to_pylist(), t.column("count").to_pylist()):
-                idf[w] = float(np.log(n_docs / (1.0 + c)))
-    if len(idf) > max_vocab:
-        keep = sorted(idf.items(), key=lambda kv: kv[1])[:max_vocab]
-        idf = dict(keep)
-    return idf
+# Broadcast-state guard: the repo prior is shipped to every scorer task,
+# so it keeps only this many repos (the ones with the most files).
+_MAX_REPOS = 2_000_000
 
 
 def corpus_stats(
@@ -93,19 +44,27 @@ def corpus_stats(
     mode: str = "auto",
     driver_limit: int = 5_000_000,
 ) -> tuple[dict, dict]:
-    """One pass over files -> (idf dict, repo prior dict).
+    """One pass over files -> (idf dict, repo prior dict), the broadcast
+    corpus statistics of the pair scorer.
 
-    Fuses `train_idf` + `repo_in_degree_prior` into a single map: each batch
-    emits tagged partial counts (kind 0 = word document frequency, kind 1 =
-    repo file count), so the corpus is read and tokenized once and there is
-    no separate shuffle for the prior. Scale-adaptive final merge (same
-    guard as `train_idf`): partial rows under `driver_limit` merge with one
-    vectorized pass on the driver; above that — or with `mode="shuffle"`,
-    which `linkage_clusters(distributed=True)` forces — a distributed
-    groupby(kind, key).sum runs first and only the (vocab-bounded)
-    aggregated rows come back to build the broadcast dicts."""
-    import ray
+    - idf: per token, log(N / (1 + document frequency)); beyond `max_vocab`
+      tokens only the lowest-idf ones are kept (the rest score the default
+      idf).
+    - prior: the PageRank-style popularity prior from repo in-degree
+      (north_star), log1p(file count per repo) normalized to [0, 1]. Only
+      the `_MAX_REPOS` repos with the most files are kept; a missing repo
+      scores the 0.0 floor in the pair features — the same OOV treatment as
+      the reference's pagerank default (opentapioca/wikidatagraph.py:165-170).
 
+    Each batch emits tagged partial counts (kind 0 = word document
+    frequency, kind 1 = repo file count), so the corpus is read and
+    tokenized once and there is no separate shuffle for the prior.
+    Scale-adaptive final merge: partial rows under `driver_limit` merge
+    with one vectorized pass on the driver; above that — or with
+    `mode="shuffle"`, which `linkage_clusters(distributed=True)` forces — a
+    distributed groupby(kind, key).sum runs first and only the
+    (vocab-bounded) aggregated rows come back to build the broadcast
+    dicts."""
     from opentapioca_ray.state.bow import partial_word_counts
 
     n_docs = files_ds.count()
@@ -187,6 +146,10 @@ def corpus_stats(
     idf = {w: float(np.log(n_docs / (1.0 + c))) for w, c in word_sum.items()}
     if len(idf) > max_vocab:
         idf = dict(sorted(idf.items(), key=lambda kv: kv[1])[:max_vocab])
+    if len(repo_sum) > _MAX_REPOS:
+        repo_sum = dict(
+            sorted(repo_sum.items(), key=lambda kv: kv[1], reverse=True)[:_MAX_REPOS]
+        )
     if repo_sum:
         logs = {k: float(np.log1p(v)) for k, v in repo_sum.items()}
         mx = max(logs.values()) or 1.0
@@ -196,80 +159,28 @@ def corpus_stats(
     return idf, prior
 
 
-def repo_in_degree_prior(
-    files_ds, repo_column: str = "repo", max_repos: int = 2_000_000
-) -> dict:
-    """PageRank-style popularity prior from repo in-degree (north_star):
-    log1p(file count per repo), normalized to [0, 1].
-
-    The prior is broadcast state, so the per-repo aggregate must fit on the
-    driver; `max_repos` caps the collect at the top-N repos by file count
-    (missing repos score the 0.0 floor in the pair features — the same
-    OOV treatment as the reference's pagerank default,
-    opentapioca/wikidatagraph.py:165-170)."""
-    from ray.data.aggregate import Count
-
-    counts = files_ds.groupby(repo_column).aggregate(Count(alias_name="n"))
-    if counts.count() > max_repos:
-        counts = counts.sort("n", descending=True).limit(max_repos)
-    rows = counts.take_all()
-    if not rows:
-        return {}
-    log_counts = {r[repo_column]: float(np.log1p(r["n"])) for r in rows}
-    mx = max(log_counts.values()) or 1.0
-    return {k: v / mx for k, v in log_counts.items()}
-
-
 # ---------------------------------------------------------------------------
 # Pipeline
 # ---------------------------------------------------------------------------
 
-def score_pairs(
-    pairs_ds,
-    idf: dict,
-    prior: dict,
-    model: LinearModel | None,
-    concurrency=None,
-    mode: str = "tasks",
-):
-    """Pairwise feature + score stage.
-
-    `tasks` (default): stateless map_batches on the already-warm worker
-    pool; the broadcast state (idf/prior/model) ships once via ray.put and
-    each task reads it zero-copy from plasma — no actor spin-up cost.
-    `actors`: explicit actor pool (state resolved once per actor in
-    __init__) — preferable when state resolution itself is expensive
-    (large model load) and the stage runs long enough to amortize pool
-    startup."""
+def score_pairs(pairs_ds, idf: dict, prior: dict, model: LinearModel | None):
+    """Pairwise feature + score stage: stateless map_batches on the
+    already-warm worker pool. The broadcast state (idf/prior/model) ships
+    once via ray.put; each worker process resolves it once
+    (`stages/pairs._resolve_cached`) — no actor spin-up cost."""
     import ray
 
     idf_ref = ray.put(idf)
     prior_ref = ray.put(prior)
     model_dict = model.to_dict() if model is not None else None
 
-    if mode == "tasks":
-        def score_batch(batch: pa.Table) -> pa.Table:
-            stage = PairScorerStage(
-                idf_ref=idf_ref, repo_prior_ref=prior_ref, model_dict=model_dict
-            )
-            return stage(batch)
+    def score_batch(batch: pa.Table) -> pa.Table:
+        stage = PairScorerStage(
+            idf_ref=idf_ref, repo_prior_ref=prior_ref, model_dict=model_dict
+        )
+        return stage(batch)
 
-        return pairs_ds.map_batches(score_batch, batch_format="pyarrow")
-
-    if concurrency is None:
-        # autoscale the actor pool to the cluster (1 CPU per actor)
-        cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
-        concurrency = (1, max(2, cpus))
-    return pairs_ds.map_batches(
-        PairScorerStage,
-        fn_constructor_kwargs={
-            "idf_ref": idf_ref,
-            "repo_prior_ref": prior_ref,
-            "model_dict": model_dict,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+    return pairs_ds.map_batches(score_batch, batch_format="pyarrow")
 
 
 def match_edges(scored_unique_ds, threshold: float = 0.0):
@@ -285,51 +196,9 @@ def match_edges(scored_unique_ds, threshold: float = 0.0):
 
 _DRIVER_PAIRS_LIMIT = 20_000_000
 
-
-def _pair_arrays(keys, ids, sigs, max_block_size: int, window: int):
-    """Vectorized pairing kernel over MANY blocks at once: rows sorted by
-    (key, sig); emits (left, right, capped) arrays. Size-2 groups (the
-    overwhelming majority under LSH banding) are fully vectorized; larger
-    groups loop with the all-pairs / sorted-neighborhood skew guard."""
-    order = np.lexsort((sigs, keys))
-    keys, ids, sigs = keys[order], ids[order], sigs[order]
-    starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    ends = np.concatenate((starts[1:], [len(keys)]))
-    sizes = ends - starts
-    lefts, rights, caps = [], [], []
-    s2 = starts[sizes == 2]
-    if len(s2):
-        a, b = ids[s2], ids[s2 + 1]
-        valid = a != b
-        a, b = a[valid], b[valid]
-        lefts.append(np.minimum(a, b))
-        rights.append(np.maximum(a, b))
-        caps.append(np.zeros(len(a), dtype=np.int64))
-    for s, e in zip(starts[sizes > 2], ends[sizes > 2]):
-        # drop duplicate file_ids keeping first occurrence (rows are already
-        # in sig_head order within the group)
-        _, first_pos = np.unique(ids[s:e], return_index=True)
-        gid = ids[s:e][np.sort(first_pos)]
-        n = len(gid)
-        if n < 2:
-            continue
-        if n <= max_block_size:
-            iu, ju = np.triu_indices(n, k=1)
-            capped = 0
-        else:
-            offs = np.arange(1, window + 1)
-            iu = np.repeat(np.arange(n), window)
-            ju = iu + np.tile(offs, n)
-            keep = ju < n
-            iu, ju = iu[keep], ju[keep]
-            capped = n * (n - 1) // 2 - len(iu)
-        lefts.append(np.minimum(gid[iu], gid[ju]))
-        rights.append(np.maximum(gid[iu], gid[ju]))
-        caps.append(np.full(len(iu), capped, dtype=np.int64))
-    if not lefts:
-        z = np.zeros(0, dtype=np.int64)
-        return z, z, z
-    return np.concatenate(lefts), np.concatenate(rights), np.concatenate(caps)
+# Coarse partitions of the shuffle regime's band exchange; the round-5
+# scaling numbers (2.56M files, 8 vs 32 CPUs) were taken with this P.
+_SHUFFLE_PAIR_PARTS = 1024
 
 
 def _driver_id_pairs(blocks_ds, survivors, max_block_size: int, window: int):
@@ -359,15 +228,11 @@ def _driver_id_pairs(blocks_ds, survivors, max_block_size: int, window: int):
     ).empty_table()
     if not key_chunks:
         return rd.from_arrow(empty)
-    # int keys sort directly; string keys dictionary-encode to int codes
-    key_arr = pa.chunked_array(key_chunks).combine_chunks()
-    if pa.types.is_string(key_arr.type) or pa.types.is_large_string(key_arr.type):
-        keys = key_arr.dictionary_encode().indices.to_numpy(zero_copy_only=False)
-    else:
-        keys = key_arr.to_numpy(zero_copy_only=False)
+    keys = pa.chunked_array(key_chunks).combine_chunks().to_numpy(zero_copy_only=False)
     ids = np.concatenate(id_chunks).astype(np.int64)
     sigs = np.concatenate(sig_chunks).astype(np.uint64)
-    left, right, cap = _pair_arrays(keys, ids, sigs, max_block_size, window)
+    i, j, cap = block_pairs(keys, sigs, ids, max_block_size, window)
+    left, right = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
     if not len(left):
         return rd.from_arrow(empty)
     # cross-band dedupe: unique (left,right), Max(capped), Count(bands)
@@ -400,7 +265,6 @@ def build_id_pairs(
     max_block_size=64,
     window=8,
     mode: str = "auto",
-    prefilter_mode: str = "auto",
 ):
     """Slim blocking + pair generation: the band shuffle moves only
     (block_key, file_id, sig_head); candidate pairs are deduplicated across
@@ -413,13 +277,11 @@ def build_id_pairs(
     rows are read back, filtered block by block, and paired vectorized on
     the driver (no shuffle). Above that, or with `mode="shuffle"`, the
     groupby(block_key) + groupby(pair) coarse shuffles run distributed.
-    `prefilter_mode="shuffle"` (under "auto": more band rows than
-    DRIVER_COMBINE_LIMIT) counts the keys with the distributed
-    `prefilter_singleton_blocks` instead."""
+    Both regimes pair each band block with `stages/pairs.block_pairs`."""
+    from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
     from opentapioca_ray.stages.pairs import (
         DRIVER_COMBINE_LIMIT,
         keep_keys,
-        prefilter_singleton_blocks,
         surviving_keys,
     )
 
@@ -460,53 +322,36 @@ def build_id_pairs(
         candidates = blocks
     else:
         blocks = blocks.materialize()
-        if prefilter_mode == "auto":
-            prefilter_mode = (
-                "driver" if blocks.count() <= DRIVER_COMBINE_LIMIT else "shuffle"
-            )
-        if prefilter_mode == "driver":
-            survivors, n_survivors = surviving_keys(arrow_blocks(blocks))
-        else:
-            blocks = prefilter_singleton_blocks(blocks, mode="shuffle").materialize()
-            survivors, n_survivors = None, blocks.count()
+        survivors, n_survivors = surviving_keys(arrow_blocks(blocks))
         if mode == "driver" or n_survivors <= _DRIVER_PAIRS_LIMIT:
             return _driver_id_pairs(blocks, survivors, max_block_size, window)
-        candidates = blocks if survivors is None else keep_keys(blocks, survivors)
+        candidates = keep_keys(blocks, survivors)
 
     # Scale path: shuffle by a COARSE partition key (hash of block_key mod
     # P) so each group holds many whole blocks and is paired with the same
     # vectorized kernel — per-group work is O(partition), not a per-tiny-
     # group pandas call (which collapses at millions of singleton-ish keys).
-    n_parts = 1024
-
-    def add_part(batch: pa.Table) -> pa.Table:
-        # one C-level hash pass for string or int keys alike (never a
-        # per-row Python loop on a shuffle path) — stages/exchange.py
-        from opentapioca_ray.stages.exchange import _coarse_codes
-
-        return batch.append_column(
-            "part", _coarse_codes(batch.column("block_key"), n_parts)
+    def pair_partition(t: pa.Table) -> pa.Table:
+        ids = t.column("file_id").to_numpy().astype(np.int64)
+        i, j, cap = block_pairs(
+            t.column("block_key").to_numpy(), t.column("sig_head").to_numpy(), ids,
+            max_block_size, window,
+        )
+        return pa.table(
+            {
+                "left_id": np.minimum(ids[i], ids[j]),
+                "right_id": np.maximum(ids[i], ids[j]),
+                "capped": cap,
+            }
         )
 
-    def pair_partition(df: pd.DataFrame) -> pd.DataFrame:
-        keys = df["block_key"].to_numpy()
-        if keys.dtype == object:
-            _, keys = np.unique(keys, return_inverse=True)
-        ids = df["file_id"].to_numpy(dtype=np.int64)
-        sigs = df["sig_head"].to_numpy()
-        left, right, cap = _pair_arrays(keys, ids, sigs, max_block_size, window)
-        return pd.DataFrame({"left_id": left, "right_id": right, "capped": cap})
-
-    pairs = (
-        candidates.map_batches(add_part, batch_format="pyarrow")
-        .groupby("part")
-        .map_groups(pair_partition, batch_format="pandas")
+    pairs = coarse_group_apply(
+        candidates, "block_key", pair_partition, n_parts=_SHUFFLE_PAIR_PARTS,
+        batch_format="pyarrow",
     )
     # cross-band dedup via a SECOND coarse exchange + vectorized pandas
     # aggregate — Ray's sort-based two-key groupby().aggregate() costs 106s
     # on the same 1M pair rows this does in 1.5s (tiny numerous groups)
-    from opentapioca_ray.stages.exchange import coarse_groupby_agg
-
     return coarse_groupby_agg(
         pairs,
         ["left_id", "right_id"],
@@ -518,7 +363,7 @@ _DRIVER_ATTACH_LIMIT = 200_000
 
 # Telemetry for the scaling contract: every driver-side collect whose volume
 # is proportional to #pairs / #candidate-files bumps this counter (the
-# broadcast-small-side collects in corpus_stats/train_idf are vocab-bounded
+# broadcast-small-side collects in corpus_stats are vocab-bounded
 # and exempt). The distributed paths (mode="shuffle", i.e. what
 # linkage_clusters(distributed=True) forces) must leave it untouched —
 # asserted in tests/test_distributed_modes.py.
@@ -540,7 +385,6 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
     import ray
     import pyarrow.compute as pc
 
-    from opentapioca_ray.functions.text import tokenize
     from opentapioca_ray.stages.pairs import TOKENS_CAP
 
     cap = tokens_cap or TOKENS_CAP
@@ -590,31 +434,36 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
         return token_rows
 
     if mode == "driver":
-        # candidate-id broadcast: one vectorized np.unique over the pair id
-        # columns (bounded by 2 x #pairs int64s — small by the mode guard)
+        # ONE read of the deduped pairs (bounded by the mode guard) feeds
+        # both the candidate-id broadcast — one vectorized np.unique over
+        # the pair id columns — and the dict join below
         DRIVER_COLLECTS["pairs_proportional"] += 1
-        id_chunks = []
+        pl_c, pr_c, pc_c, pn_c = [], [], [], []
         for t in arrow_blocks(pairs_ds):
             if t.num_rows == 0 or "left_id" not in t.column_names:
                 continue
-            id_chunks.append(t.column("left_id").to_numpy(zero_copy_only=False))
-            id_chunks.append(t.column("right_id").to_numpy(zero_copy_only=False))
-        if not id_chunks:
+            pl_c.append(t.column("left_id").to_numpy(zero_copy_only=False))
+            pr_c.append(t.column("right_id").to_numpy(zero_copy_only=False))
+            pc_c.append(t.column("capped").to_numpy(zero_copy_only=False))
+            pn_c.append(t.column("nb_bands").to_numpy(zero_copy_only=False))
+        if not pl_c:
             return None
-        cand_ids = np.unique(np.concatenate(id_chunks)).astype(np.int64)
-        if not len(cand_ids):
-            return None
+        pl = np.concatenate(pl_c).astype(np.int64)
+        pr = np.concatenate(pr_c).astype(np.int64)
+        pcap = np.concatenate(pc_c).astype(np.int64)
+        pnb = np.concatenate(pn_c).astype(np.int64)
+        cand_ids = np.unique(np.concatenate([pl, pr]))
         ids_ref = ray.put(pa.array(cand_ids, type=pa.int64()))
         tokens = files_ds.map_batches(make_token_rows(ids_ref), batch_format="pyarrow")
         # Small regime: tokenization stays distributed (the map above); only
         # the packed prefixes of candidate files (bounded by cand_ids x cap)
-        # and the deduped pairs come to the driver for a vectorized dict
-        # join, then ship back as sliced Arrow blocks for the actor pool.
+        # come to the driver for a vectorized dict join — sorted token-id
+        # arrays + two searchsorted lookups over the pair columns (no
+        # per-row Python) — then ship back as sliced Arrow blocks so the
+        # scorer tasks parallelize.
         import ray.data as rd
 
-        # vectorized dict join: sorted token-id arrays + two searchsorted
-        # lookups over the pair columns (no per-row Python)
-        DRIVER_COLLECTS["pairs_proportional"] += 2  # token rows + pair rows
+        DRIVER_COLLECTS["pairs_proportional"] += 1  # token rows
         tid_c, trepo_c, tpack_c = [], [], []
         for t in arrow_blocks(tokens):
             if t.num_rows == 0 or "file_id" not in t.column_names:
@@ -629,18 +478,6 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
         tids = tids[o]
         trepo = np.concatenate(trepo_c)[o]
         tpack = np.concatenate(tpack_c)[o]
-        pl_c, pr_c, pc_c, pn_c = [], [], [], []
-        for t in arrow_blocks(pairs_ds):
-            if t.num_rows == 0 or "left_id" not in t.column_names:
-                continue
-            pl_c.append(t.column("left_id").to_numpy(zero_copy_only=False))
-            pr_c.append(t.column("right_id").to_numpy(zero_copy_only=False))
-            pc_c.append(t.column("capped").to_numpy(zero_copy_only=False))
-            pn_c.append(t.column("nb_bands").to_numpy(zero_copy_only=False))
-        pl = np.concatenate(pl_c).astype(np.int64)
-        pr = np.concatenate(pr_c).astype(np.int64)
-        pcap = np.concatenate(pc_c).astype(np.int64)
-        pnb = np.concatenate(pn_c).astype(np.int64)
         li = np.clip(np.searchsorted(tids, pl), 0, len(tids) - 1)
         ri = np.clip(np.searchsorted(tids, pr), 0, len(tids) - 1)
         ok = (tids[li] == pl) & (tids[ri] == pr)
@@ -656,10 +493,7 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
                 "right_packed": pa.array(tpack[ri[ok]], type=pa.string()),
             }
         )
-        # slice into multiple blocks so the scorer actor pool parallelizes
-        import ray as _ray
-
-        n_slices = max(1, min(64, int(_ray.cluster_resources().get("CPU", 8)) * 2))
+        n_slices = max(1, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
         step = max(1, (table.num_rows + n_slices - 1) // n_slices)
         slices = [table.slice(i, step) for i in range(0, table.num_rows, step)]
         return rd.from_arrow(slices or [table])
@@ -796,13 +630,12 @@ def linkage_clusters(
     shingle_k: int = 3,
     max_block_size: int = 64,
     window: int = 8,
-    concurrency=None,
     distributed: bool = False,
 ):
     """Full pipeline -> (clusters_ds (node, component), scored_pairs_ds).
 
     `distributed=True` forces every VOLUME-carrying stage (corpus stats,
-    blocking, singleton prefilter, pair generation, token attach) onto its
+    blocking, pair generation, token attach) onto its
     distributed/shuffle implementation — no driver-side small-regime
     shortcuts on anything that scales with the input; the configuration the
     scaling benchmark measures. Connected components keeps its own
@@ -821,15 +654,12 @@ def linkage_clusters(
 
     files_ds = files_ds.materialize()  # consumed by idf, prior, blocks, tokens
     mode = "shuffle" if distributed else "auto"
-    if idf is None and prior is None:
-        idf, prior = corpus_stats(files_ds, mode=mode)
-    elif idf is None:
-        idf = train_idf(files_ds)
-    elif prior is None:
-        prior = repo_in_degree_prior(files_ds)
+    if idf is None or prior is None:
+        stats_idf, stats_prior = corpus_stats(files_ds, mode=mode)
+        idf = stats_idf if idf is None else idf
+        prior = stats_prior if prior is None else prior
     pairs = build_id_pairs(
-        files_ds, num_perm, bands, shingle_k, max_block_size, window,
-        mode=mode, prefilter_mode=mode,
+        files_ds, num_perm, bands, shingle_k, max_block_size, window, mode=mode
     )
     enriched = attach_pair_tokens(pairs, files_ds, mode=mode)
     if enriched is None:  # no candidate pairs at all
@@ -840,7 +670,7 @@ def linkage_clusters(
             [("node", pa.int64()), ("component", pa.int64())]
         ).empty_table()
         return rd.from_arrow(empty_cl), rd.from_arrow(empty_sc)
-    scored = score_pairs(enriched, idf, prior, model, concurrency)
+    scored = score_pairs(enriched, idf, prior, model)
     # scored is consumed at least twice (match-edge derivation here, and
     # callers re-read it: F1 eval, the oracle's match-edge dump); left lazy,
     # each consumer re-runs the whole blocking+scoring pipeline
@@ -879,8 +709,7 @@ def linkage_checkpointed(
     # fingerprint EVERY param build_id_pairs consumes (max_block_size and
     # window change the emitted pair set too) so a re-run with different
     # values invalidates the stage instead of reusing a stale checkpoint
-    _PAIR_KEYS = ("num_perm", "bands", "shingle_k", "max_block_size", "window",
-                  "mode", "prefilter_mode")
+    _PAIR_KEYS = ("num_perm", "bands", "shingle_k", "max_block_size", "window", "mode")
     pair_kwargs = {k: kwargs[k] for k in _PAIR_KEYS if k in kwargs}
     pair_params = {**base_params, **pair_kwargs}
     pairs = ckpt.run(

@@ -16,14 +16,10 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-from opentapioca_ray.functions.minhash import (
-    hamming64,
-    jaccard,
-    simhash,
-)
+from opentapioca_ray.functions.minhash import jaccard, simhash
 from opentapioca_ray.functions.vectors import list_to_matrix, matrix_to_list
 from opentapioca_ray.stages.cc import connected_components
-from opentapioca_ray.stages.pairs import blocking_batch, make_pair_group_fn
+from opentapioca_ray.stages.pairs import block_pairs, blocking_batch
 from opentapioca_ray.stages.exchange import arrow_blocks
 
 
@@ -118,11 +114,11 @@ def _shingle_set(tokens, k: int) -> set:
 
 def _verify_partition_fn(threshold: float, shingle_k: int, max_block_size: int = 64, window: int = 8):
     """ALL blocks of one coarse partition at once (not per-tiny-block
-    map_groups): per block drop duplicate members, generate candidate pairs
+    map_groups): `block_pairs` enumerates each block's candidate pairs
     (all-pairs under `max_block_size`, else sorted-neighborhood by minhash
-    head with `window` — the same skew guard as stages/pairs.py), verify
-    with exact token-shingle Jaccard on the carried prefixes. Shingle sets
-    are cached per file within the partition."""
+    head with `window`), verified with exact token-shingle Jaccard on the
+    carried prefixes. Shingle sets are cached per file within the
+    partition."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -134,49 +130,35 @@ def _verify_partition_fn(threshold: float, shingle_k: int, max_block_size: int =
         )
         if df.empty:
             return empty
-        df = df.sort_values(["block_key", "sig_head"], kind="mergesort")
-        keys = df["block_key"].to_numpy()
         ids = df["file_id"].to_numpy(dtype=np.int64)
         tokens = df["tokens"].to_numpy()
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        ends = np.concatenate((starts[1:], [len(keys)]))
+        pi, pj, _ = block_pairs(
+            df["block_key"].to_numpy(), df["sig_head"].to_numpy(), ids,
+            max_block_size, window,
+        )
         cache: dict[int, set] = {}
         seen_pairs: set[tuple[int, int]] = set()
         out_u, out_v, out_j = [], [], []
-        for s, e in zip(starts, ends):
-            _, first_pos = np.unique(ids[s:e], return_index=True)
-            pos = np.sort(first_pos) + s
-            n = len(pos)
-            if n < 2:
-                continue
-            if n <= max_block_size:
-                iu, ju = np.triu_indices(n, k=1)
-            else:
-                offs = np.arange(1, window + 1)
-                iu = np.repeat(np.arange(n), window)
-                ju = iu + np.tile(offs, n)
-                keep = ju < n
-                iu, ju = iu[keep], ju[keep]
-            for i, j in zip(pos[iu], pos[ju]):
-                u, v = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
-                if (u, v) in seen_pairs:
-                    continue  # already verified within this partition
-                seen_pairs.add((u, v))
-                sa = cache.get(u)
-                if sa is None:
-                    sa = cache[u] = _shingle_set(
-                        list(tokens[i if ids[i] == u else j]), shingle_k
-                    )
-                sb = cache.get(v)
-                if sb is None:
-                    sb = cache[v] = _shingle_set(
-                        list(tokens[j if ids[j] == v else i]), shingle_k
-                    )
-                jac = jaccard(sa, sb)
-                if jac >= threshold:
-                    out_u.append(u)
-                    out_v.append(v)
-                    out_j.append(jac)
+        for i, j in zip(pi, pj):
+            u, v = (ids[i], ids[j]) if ids[i] <= ids[j] else (ids[j], ids[i])
+            if (u, v) in seen_pairs:
+                continue  # already verified within this partition
+            seen_pairs.add((u, v))
+            sa = cache.get(u)
+            if sa is None:
+                sa = cache[u] = _shingle_set(
+                    list(tokens[i if ids[i] == u else j]), shingle_k
+                )
+            sb = cache.get(v)
+            if sb is None:
+                sb = cache[v] = _shingle_set(
+                    list(tokens[j if ids[j] == v else i]), shingle_k
+                )
+            jac = jaccard(sa, sb)
+            if jac >= threshold:
+                out_u.append(u)
+                out_v.append(v)
+                out_j.append(jac)
         if not out_u:
             return empty
         return pd.DataFrame(
@@ -303,88 +285,24 @@ def _popcount64(x: np.ndarray) -> np.ndarray:
 
 
 def _simhash_verify_partition(max_hamming: int):
-    """ALL pigeonhole blocks of one coarse partition at once; per block the
-    pairwise Hamming distances are one vectorized XOR + popcount pass."""
+    """ALL pigeonhole blocks of one coarse partition at once: `block_pairs`
+    enumerates every block's pairs (uncapped), and their Hamming distances
+    are one vectorized XOR + popcount pass. Emits (u, v, hamming) per pair
+    within `max_hamming`."""
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
-        )
         if df.empty:
-            return empty
-        df = df.sort_values(["block_key", "doc_id"], kind="mergesort")
-        keys = df["block_key"].to_numpy()
+            return pd.DataFrame(
+                {c: pd.Series(dtype=np.int64) for c in ("u", "v", "hamming")}
+            )
         ids = df["doc_id"].to_numpy(dtype=np.int64)
         sims = df["simhash"].to_numpy(dtype=np.uint64)
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        out_u, out_v = [], []
-        for s, e in zip(starts, ends):
-            _, first_pos = np.unique(ids[s:e], return_index=True)
-            pos = np.sort(first_pos) + s
-            n = len(pos)
-            if n < 2:
-                continue
-            iu, ju = np.triu_indices(n, k=1)
-            a, b = pos[iu], pos[ju]
-            hit = _popcount64(sims[a] ^ sims[b]) <= max_hamming
-            if hit.any():
-                ua, vb = ids[a[hit]], ids[b[hit]]
-                out_u.append(np.minimum(ua, vb))
-                out_v.append(np.maximum(ua, vb))
-        if not out_u:
-            return empty
+        i, j, _ = block_pairs(df["block_key"].to_numpy(), ids, ids, None, 0)
+        ham = _popcount64(sims[i] ^ sims[j]).astype(np.int64)
+        hit = ham <= max_hamming
+        a, b = ids[i[hit]], ids[j[hit]]
         return pd.DataFrame(
-            {"u": np.concatenate(out_u), "v": np.concatenate(out_v)}
-        )
-
-    return fn
-
-
-def _simhash_verify_hamming_partition(max_hamming: int):
-    """Like `_simhash_verify_partition` but also emits the exact Hamming
-    distance per surviving pair (for the oracle-checkable pair-set query)."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {
-                "u": pd.Series(dtype=np.int64),
-                "v": pd.Series(dtype=np.int64),
-                "hamming": pd.Series(dtype=np.int64),
-            }
-        )
-        if df.empty:
-            return empty
-        df = df.sort_values(["block_key", "doc_id"], kind="mergesort")
-        keys = df["block_key"].to_numpy()
-        ids = df["doc_id"].to_numpy(dtype=np.int64)
-        sims = df["simhash"].to_numpy(dtype=np.uint64)
-        starts = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        out_u, out_v, out_h = [], [], []
-        for s, e in zip(starts, ends):
-            _, first_pos = np.unique(ids[s:e], return_index=True)
-            pos = np.sort(first_pos) + s
-            n = len(pos)
-            if n < 2:
-                continue
-            iu, ju = np.triu_indices(n, k=1)
-            a, b = pos[iu], pos[ju]
-            ham = _popcount64(sims[a] ^ sims[b])
-            hit = ham <= max_hamming
-            if hit.any():
-                ua, vb = ids[a[hit]], ids[b[hit]]
-                out_u.append(np.minimum(ua, vb))
-                out_v.append(np.maximum(ua, vb))
-                out_h.append(ham[hit].astype(np.int64))
-        if not out_u:
-            return empty
-        return pd.DataFrame(
-            {
-                "u": np.concatenate(out_u),
-                "v": np.concatenate(out_v),
-                "hamming": np.concatenate(out_h),
-            }
+            {"u": np.minimum(a, b), "v": np.maximum(a, b), "hamming": ham[hit]}
         )
 
     return fn
@@ -488,7 +406,7 @@ def simhash_md5_pairs(
     )
     sims = prefilter_singleton_blocks(sims, min_size=2)
     edges = coarse_group_apply(
-        sims, "block_key", _simhash_verify_hamming_partition(max_hamming)
+        sims, "block_key", _simhash_verify_partition(max_hamming)
     )
     # cross-band dedup; hamming is identical on every band hit, min is a tag
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
@@ -509,6 +427,7 @@ def simhash_dedup(ds, id_column: str = "doc_id", text_column: str = "text", max_
     )
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
 
+    # cross-band dedup; the aggregate keeps (u, v, nb) and drops `hamming`
     edges = coarse_groupby_agg(edges, ["u", "v"], {"nb": ("u", "size")})
     return connected_components(edges.select_columns(["u", "v"]))
 
@@ -896,11 +815,7 @@ def embedding_pairs(
     import ray
     import pyarrow.compute as pc
 
-    from opentapioca_ray.stages.exchange import (
-        coarse_group_apply,
-        coarse_groupby_agg,
-        segment_starts,
-    )
+    from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
     from opentapioca_ray.stages.pairs import prefilter_singleton_blocks
 
     num_planes = num_bands * planes_per_band
@@ -944,32 +859,17 @@ def embedding_pairs(
         )
 
     def pair_partition(df: pd.DataFrame) -> pd.DataFrame:
-        """candidate (u, v) pairs for ALL buckets of one coarse partition."""
-        empty = pd.DataFrame(
-            {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
-        )
+        """candidate (u, v) pairs, u < v, for ALL buckets of one coarse
+        partition (uncapped: every pair of a bucket)."""
         if df.empty:
-            return empty
-        keys = df["block_key"].to_numpy(dtype=np.int64)
+            return pd.DataFrame(
+                {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
+            )
         ids = df["vec_id"].to_numpy(dtype=np.int64)
-        order = np.lexsort((ids, keys))
-        keys, ids = keys[order], ids[order]
-        starts = segment_starts(keys)
-        ends = np.concatenate((starts[1:], [len(keys)]))
-        out_u, out_v = [], []
-        for s, e in zip(starts, ends):
-            gid = np.unique(ids[s:e])
-            n = len(gid)
-            if n < 2:
-                continue
-            iu, ju = np.triu_indices(n, k=1)
-            out_u.append(gid[iu])
-            out_v.append(gid[ju])
-        if not out_u:
-            return empty
-        return pd.DataFrame(
-            {"u": np.concatenate(out_u), "v": np.concatenate(out_v)}
+        i, j, _ = block_pairs(
+            df["block_key"].to_numpy(dtype=np.int64), ids, ids, None, 0
         )
+        return pd.DataFrame({"u": ids[i], "v": ids[j]})
 
     buckets = ds.map_batches(bucket, batch_format="pyarrow")
     buckets = prefilter_singleton_blocks(buckets, min_size=2)

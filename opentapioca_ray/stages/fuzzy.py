@@ -9,10 +9,11 @@ value-for-value.
 
 Scale shape: ONE coarse exchange on the block key ships slim
 (id, name, block) rows; the partition kernel handles ALL its blocks in one
-pass. Inside a block: all-pairs under `max_block_size`, else the
-sorted-neighborhood window skew guard used everywhere else in this repo
-(stages/pairs.py) — capped blocks lose cross-window pairs BY DESIGN and the
-cap is sized so oracle-scale inputs never hit it. The DP is vectorized
+pass. Inside a block, `stages/pairs.block_pairs` (the repo's one skew
+guard) enumerates the candidates: all-pairs under `max_block_size`, else a
+sorted-neighborhood window in (name, id) order — capped blocks lose
+cross-window pairs BY DESIGN and the cap is sized so oracle-scale inputs
+never hit it. The DP is vectorized
 ACROSS pairs (one (n_pairs,) vector op per DP cell), names are encoded to
 int32 code matrices once per partition, and a length-difference prefilter
 drops pairs that cannot be within `max_dist` before any DP runs.
@@ -23,6 +24,8 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+
+from opentapioca_ray.stages.pairs import block_pairs
 
 _PAIR_SCHEMA = pa.schema(
     [("u", pa.int64()), ("v", pa.int64()), ("lev", pa.int64())]
@@ -219,6 +222,31 @@ def _dl_chunk(codes, lens, ai, bi) -> np.ndarray:
     return D[ar, la + 1, lb + 1]
 
 
+def _block_candidates(
+    df: pd.DataFrame,
+    id_column: str,
+    name_column: str,
+    block_column: str,
+    max_block_size: int,
+    window: int,
+):
+    """The blocking prologue of the within-block matchers: one partition's
+    (id, name, block) rows -> (ids, code matrix, lengths, ai, bi), the
+    candidate pairs as row-index arrays from `block_pairs` in (name, id)
+    order. The metrics scored over them are symmetric, so a pair's
+    orientation never changes its value."""
+    ids = df[id_column].to_numpy(dtype=np.int64)
+    names = df[name_column].to_numpy()
+    name_codes = np.unique(names, return_inverse=True)[1]
+    rank = np.empty(len(ids), dtype=np.int64)
+    rank[np.lexsort((ids, name_codes))] = np.arange(len(ids))
+    ai, bi, _ = block_pairs(
+        df[block_column].to_numpy(), rank, ids, max_block_size, window
+    )
+    codes, lens = _code_matrix(names)
+    return ids, codes, lens, ai, bi
+
+
 def fuzzy_block_pairs(
     ds,
     id_column: str,
@@ -236,7 +264,7 @@ def fuzzy_block_pairs(
     `metric` picks the DP: "lev" (unit-cost Levenshtein) or "dl" (true
     Damerau-Levenshtein with transpositions); the score column is named
     after it."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply, segment_starts
+    from opentapioca_ray.stages.exchange import coarse_group_apply
 
     assert metric in ("lev", "dl")
     dp_fn = levenshtein_pairs if metric == "lev" else damerau_levenshtein_pairs
@@ -251,42 +279,9 @@ def fuzzy_block_pairs(
         )
         if df.empty:
             return empty
-        blocks = df[block_column].to_numpy()
-        ids = df[id_column].to_numpy(dtype=np.int64)
-        names = df[name_column].to_numpy()
-        _, bcodes = np.unique(blocks, return_inverse=True)
-        order = np.lexsort((ids, bcodes))
-        bcodes, ids, names = bcodes[order], ids[order], names[order]
-        # drop duplicate ids within a block
-        first = np.concatenate(
-            ([True], (bcodes[1:] != bcodes[:-1]) | (ids[1:] != ids[:-1]))
+        ids, codes, lens, ai, bi = _block_candidates(
+            df, id_column, name_column, block_column, max_block_size, window
         )
-        bcodes, ids, names = bcodes[first], ids[first], names[first]
-        codes, lens = _code_matrix(names)
-        starts = segment_starts(bcodes)
-        ends = np.concatenate((starts[1:], [len(bcodes)]))
-        ai_all, bi_all = [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            if n <= max_block_size:
-                iu, ju = np.triu_indices(n, k=1)
-            else:  # skew guard: sorted-neighborhood by (name, id)
-                sub = np.lexsort(
-                    (ids[s:e], np.unique(names[s:e], return_inverse=True)[1])
-                )
-                offs = np.arange(1, window + 1)
-                iu = np.repeat(np.arange(n), window)
-                ju = iu + np.tile(offs, n)
-                keep = ju < n
-                iu, ju = sub[iu[keep]], sub[ju[keep]]
-            ai_all.append(iu + s)
-            bi_all.append(ju + s)
-        if not ai_all:
-            return empty
-        ai = np.concatenate(ai_all)
-        bi = np.concatenate(bi_all)
         # length prefilter: |la - lb| > max_dist can never pass
         ok = np.abs(lens[ai] - lens[bi]) <= max_dist
         ai, bi = ai[ok], bi[ok]
@@ -334,7 +329,7 @@ def jw_block_pairs(
     jw >= `min_sim`, same coarse-exchange + skew-guard shape as
     `fuzzy_block_pairs`. DuckDB's `jaro_winkler_similarity` pins the values
     bit-for-bit (see `jaro_winkler_pairs`)."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply, segment_starts
+    from opentapioca_ray.stages.exchange import coarse_group_apply
 
     def pair_partition(df: pd.DataFrame) -> pd.DataFrame:
         empty = pd.DataFrame(
@@ -346,41 +341,9 @@ def jw_block_pairs(
         )
         if df.empty:
             return empty
-        blocks = df[block_column].to_numpy()
-        ids = df[id_column].to_numpy(dtype=np.int64)
-        names = df[name_column].to_numpy()
-        _, bcodes = np.unique(blocks, return_inverse=True)
-        order = np.lexsort((ids, bcodes))
-        bcodes, ids, names = bcodes[order], ids[order], names[order]
-        first = np.concatenate(
-            ([True], (bcodes[1:] != bcodes[:-1]) | (ids[1:] != ids[:-1]))
+        ids, codes, lens, ai, bi = _block_candidates(
+            df, id_column, name_column, block_column, max_block_size, window
         )
-        bcodes, ids, names = bcodes[first], ids[first], names[first]
-        codes, lens = _code_matrix(names)
-        starts = segment_starts(bcodes)
-        ends = np.concatenate((starts[1:], [len(bcodes)]))
-        ai_all, bi_all = [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            if n <= max_block_size:
-                iu, ju = np.triu_indices(n, k=1)
-            else:  # skew guard: sorted-neighborhood by (name, id)
-                sub = np.lexsort(
-                    (ids[s:e], np.unique(names[s:e], return_inverse=True)[1])
-                )
-                offs = np.arange(1, window + 1)
-                iu = np.repeat(np.arange(n), window)
-                ju = iu + np.tile(offs, n)
-                keep = ju < n
-                iu, ju = sub[iu[keep]], sub[ju[keep]]
-            ai_all.append(iu + s)
-            bi_all.append(ju + s)
-        if not ai_all:
-            return empty
-        ai = np.concatenate(ai_all)
-        bi = np.concatenate(bi_all)
         jw = jaro_winkler_pairs(codes, lens, ai, bi)
         hit = jw >= min_sim
         if not hit.any():

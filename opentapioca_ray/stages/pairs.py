@@ -2,24 +2,27 @@
 
 The graft's wide self-join (BASELINE.json north_star; SURVEY.md J7/ST6):
 
-1. `BlockingStage` (stateless `map_batches`, zero-copy Arrow): per file,
+1. `blocking_batch` (stateless `map_batches`, zero-copy Arrow): per file,
    normalize content -> token shingles -> MinHash signature -> LSH band
-   keys; emits one row per (block_key, file) carrying a bounded token
-   prefix, NOT the full content, so the block shuffle moves O(tokens_cap)
-   bytes per row however large the file is.
-2. `emit_pairs_groups` (`groupby(block_key).map_groups`): within a block,
-   generate candidate pairs. Skew guard: oversized blocks switch to a
-   sorted-neighborhood window (sort members by signature, pair each with
-   the next W) instead of the quadratic all-pairs — bounded work per block,
-   dropped-pair counts are reported in the `capped` column, never silent.
-3. `PairScorerStage` (stateful actor pool): holds the broadcast IDF
+   keys; emits one row per (block_key, file) carrying the signature head
+   and, unless the slim path asks otherwise, a bounded token prefix — NOT
+   the full content, so the block shuffle moves O(tokens_cap) bytes per
+   row however large the file is.
+2. `block_pairs`: the one within-block pair enumerator every blocked
+   self-join in this repo calls (linkage, MinHash/SimHash/embedding dedup,
+   key blocking, fuzzy name matching), over all blocks of a coarse
+   partition at once. Skew guard: an oversized block switches to a
+   sorted-neighborhood window (pair each member with the next W in the
+   caller's order) instead of the quadratic all-pairs — bounded work per
+   block, dropped-pair counts are reported as `capped`, never silent.
+3. `PairScorerStage` (a `map_batches` callable): holds the broadcast IDF
    statistics, repo popularity prior and linear model; computes the
    reference-shaped pairwise features (TF-IDF cosine, token Jaccard,
    n-gram Jaccard, bounded edit distance, popularity prior — feature
    semantics after opentapioca/classifier.py:41-47) and scores them.
 
-Pairs emitted by several bands are deduplicated by a `groupby(pair).max`
-aggregate downstream (see pipelines/linkage.py).
+Pairs emitted by several bands are deduplicated downstream (see
+pipelines/linkage.py:build_id_pairs).
 """
 
 from __future__ import annotations
@@ -29,8 +32,7 @@ import pandas as pd
 import pyarrow as pa
 
 from opentapioca_ray.functions.minhash import band_keys
-from opentapioca_ray.functions.text import tokenize
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, segment_starts
 
 TOKENS_CAP = 128  # token prefix carried through the block shuffle
 
@@ -46,19 +48,16 @@ def blocking_batch(
     include_tokens: bool = True,
     key_type: str = "str",
 ) -> pa.Table:
-    """files batch -> (block_key, file_id, repo, sig_head[, tokens]) rows.
+    """files batch -> (block_key, file_id[, repo], sig_head[, tokens]) rows.
 
-    `include_tokens=False` is the slim/scale path: the block shuffle then
-    moves only (key, id, sig) per row — O(bytes) per band instead of
-    O(TOKENS_CAP); token payloads are attached to the (far fewer) surviving
-    candidate pairs afterwards (pipelines/linkage.py)."""
+    The `repo` column is emitted only when `repo_column` is set ("" for a
+    batch without that column). `include_tokens=False` is the slim/scale
+    path: the block shuffle then moves only (key, id, sig) per row —
+    O(bytes) per band instead of O(TOKENS_CAP); token payloads are attached
+    to the (far fewer) surviving candidate pairs afterwards
+    (pipelines/linkage.py)."""
     ids = batch.column(id_column).to_pylist()
     texts = batch.column(text_column).to_pylist()
-    repos = (
-        batch.column(repo_column).to_pylist()
-        if repo_column and repo_column in batch.column_names
-        else [""] * len(ids)
-    )
     from opentapioca_ray.functions.minhash import (
         band_keys_u64_batch,
         minhash_signature_batch,
@@ -85,9 +84,15 @@ def blocking_batch(
         "file_id": pa.array(
             np.repeat(np.asarray(ids, dtype=np.int64), bands), type=pa.int64()
         ),
-        "repo": pa.array(np.repeat(np.asarray(repos, dtype=object), bands)),
-        "sig_head": pa.array(np.repeat(sigs[:, 0], bands), type=pa.uint64()),
     }
+    if repo_column:
+        repos = (
+            batch.column(repo_column).to_pylist()
+            if repo_column in batch.column_names
+            else [""] * n
+        )
+        cols["repo"] = pa.array(np.repeat(np.asarray(repos, dtype=object), bands))
+    cols["sig_head"] = pa.array(np.repeat(sigs[:, 0], bands), type=pa.uint64())
     if include_tokens:
         # per-doc token prefix as ONE Arrow list array (no per-band Python
         # sublists), band-replicated with a C-level take
@@ -242,58 +247,61 @@ def keep_keys(blocks_ds, survivors: pa.Array):
     return blocks_ds.map_batches(keep, batch_format="pyarrow")
 
 
-PAIR_COLUMNS = {
-    "left_id": pa.int64(),
-    "right_id": pa.int64(),
-    "left_repo": pa.string(),
-    "right_repo": pa.string(),
-    "left_tokens": pa.list_(pa.string()),
-    "right_tokens": pa.list_(pa.string()),
-    "capped": pa.int64(),
-}
+def block_pairs(keys, order, ids, max_block_size: int | None, window: int):
+    """The repo's one within-block pair enumerator, over MANY blocks at once.
 
+    `keys` (int or string; encoded here) names each row's block, `order` is
+    the within-block order (a stable sort: ties keep input order) and `ids`
+    the int64 row ids. A repeated id in a block keeps its first row in
+    `order`. A block of n distinct ids yields all n(n-1)/2 pairs when
+    `max_block_size` is None or n <= `max_block_size`; a larger block is the
+    skew guard: each row pairs with the next `window` rows in `order`
+    (sorted neighbourhood), so a hot block costs O(n * window), not O(n^2).
 
-def make_pair_group_fn(max_block_size: int = 64, window: int = 8):
-    """Group fn over one block: all-pairs when |block| <= max_block_size,
-    else sorted-neighborhood with the given window (documented skew guard;
-    the dropped-pair count for the block is carried on every emitted row)."""
-
-    def fn(df: pd.DataFrame) -> pd.DataFrame:
-        # one row per file per block (a file can hit the same band key once)
-        df = df.drop_duplicates("file_id").sort_values("sig_head", kind="mergesort")
-        n = len(df)
-        ids = df["file_id"].to_numpy()
-        repos = df["repo"].to_numpy()
-        tokens = df["tokens"].to_numpy()
-        rows = []
+    Returns `(i, j, capped)`: row indices into the caller's arrays, i before
+    j in block order, and per pair its block's dropped-pair count
+    n(n-1)/2 - emitted. Callers gather their own payloads by index.
+    Size-2 blocks (the overwhelming majority under LSH banding) are paired
+    fully vectorized; larger blocks loop."""
+    keys = np.asarray(keys)
+    if keys.dtype.kind in "OUS":
+        _, keys = np.unique(keys, return_inverse=True)
+    ids = np.asarray(ids, dtype=np.int64)
+    perm = np.lexsort((order, keys))
+    keys, sids = keys[perm], ids[perm]
+    starts = segment_starts(keys)
+    ends = np.append(starts[1:], len(keys))
+    sizes = ends - starts
+    lefts, rights, caps = [], [], []
+    s2 = starts[sizes == 2]
+    # a 2-row block yields its one pair unless it is windowed with window 0
+    if len(s2) and (max_block_size is None or max_block_size >= 2 or window >= 1):
+        s2 = s2[sids[s2] != sids[s2 + 1]]
+        lefts.append(perm[s2])
+        rights.append(perm[s2 + 1])
+        caps.append(np.zeros(len(s2), dtype=np.int64))
+    for s, e in zip(starts[sizes > 2], ends[sizes > 2]):
+        _, first_pos = np.unique(sids[s:e], return_index=True)
+        rows = perm[s + np.sort(first_pos)]
+        n = len(rows)
         if n < 2:
-            return pd.DataFrame(columns=list(PAIR_COLUMNS))
-        if n <= max_block_size:
-            pair_index = [(i, j) for i in range(n) for j in range(i + 1, n)]
+            continue
+        if max_block_size is None or n <= max_block_size:
+            iu, ju = np.triu_indices(n, k=1)
             capped = 0
         else:
-            pair_index = [
-                (i, j)
-                for i in range(n)
-                for j in range(i + 1, min(n, i + 1 + window))
-            ]
-            capped = n * (n - 1) // 2 - len(pair_index)
-        for i, j in pair_index:
-            li, rj = (i, j) if ids[i] <= ids[j] else (j, i)
-            rows.append(
-                {
-                    "left_id": int(ids[li]),
-                    "right_id": int(ids[rj]),
-                    "left_repo": repos[li],
-                    "right_repo": repos[rj],
-                    "left_tokens": list(tokens[li]),
-                    "right_tokens": list(tokens[rj]),
-                    "capped": capped,
-                }
-            )
-        return pd.DataFrame(rows, columns=list(PAIR_COLUMNS))
-
-    return fn
+            iu = np.repeat(np.arange(n), window)
+            ju = iu + np.tile(np.arange(1, window + 1), n)
+            keep = ju < n
+            iu, ju = iu[keep], ju[keep]
+            capped = n * (n - 1) // 2 - len(iu)
+        lefts.append(rows[iu])
+        rights.append(rows[ju])
+        caps.append(np.full(len(iu), capped, dtype=np.int64))
+    if not lefts:
+        z = np.zeros(0, dtype=np.int64)
+        return z, z, z
+    return np.concatenate(lefts), np.concatenate(rights), np.concatenate(caps)
 
 
 # ---------------------------------------------------------------------------
@@ -562,8 +570,10 @@ def _resolve_cached(x):
 
 
 class PairScorerStage:
-    """Actor-pool `map_batches` stage: broadcast state resolved once in
-    `__init__`; per batch computes features + linear score (SURVEY.md ST6)."""
+    """`map_batches` callable: broadcast state resolved in `__init__` (once
+    per worker process through `_resolve_cached`); per batch computes
+    features + linear score (SURVEY.md ST6). `score_pairs` builds one per
+    task on the warm worker pool."""
 
     def __init__(self, idf_ref=None, repo_prior_ref=None, model_dict: dict | None = None):
         resolve = _resolve_cached

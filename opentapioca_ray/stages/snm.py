@@ -7,9 +7,9 @@ the window. Near-duplicates with similar sort keys become candidate pairs
 without any O(n^2) block.
 
 This repo already uses windowed pairing INSIDE oversized blocks as a skew
-guard (stages/pairs.py); this module is the global, corpus-wide variant —
-the one a user of the reference's blocking would reach for when no natural
-blocking key exists.
+guard (stages/pairs.block_pairs); this module is the global, corpus-wide
+variant — the one a user of the reference's blocking would reach for when
+no natural blocking key exists.
 
 Distributed shape (no global Ray sort, no driver materialization):
 
@@ -313,49 +313,23 @@ def block_key_pairs(
 ):
     """All candidate pairs sharing a blocking key, canonicalized to
     (u, v) with u < v by id. Oversized blocks fall back to the
-    sorted-neighborhood window by id — the standard skew guard used across
-    this repo (documented recall loss, sized so oracle-scale inputs never
-    hit it). ONE coarse exchange on the key; the partition kernel pairs
-    ALL its blocks vectorized."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply, segment_starts
+    sorted-neighborhood window by id — the `stages/pairs.block_pairs` skew
+    guard used across this repo (documented recall loss, sized so
+    oracle-scale inputs never hit it). ONE coarse exchange on the key; the
+    partition kernel pairs ALL its blocks vectorized."""
+    from opentapioca_ray.stages.exchange import coarse_group_apply
+    from opentapioca_ray.stages.pairs import block_pairs
 
     def pair_partition(df: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame(
-            {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
-        )
         if df.empty:
-            return empty
-        keys = df[key_column].to_numpy()
+            return pd.DataFrame(
+                {"u": pd.Series(dtype=np.int64), "v": pd.Series(dtype=np.int64)}
+            )
         ids = df[id_column].to_numpy(dtype=np.int64)
-        _, kcodes = np.unique(keys, return_inverse=True)
-        order = np.lexsort((ids, kcodes))
-        kcodes, ids = kcodes[order], ids[order]
-        first = np.concatenate(
-            ([True], (kcodes[1:] != kcodes[:-1]) | (ids[1:] != ids[:-1]))
+        i, j, _ = block_pairs(
+            df[key_column].to_numpy(), ids, ids, max_block_size, window
         )
-        kcodes, ids = kcodes[first], ids[first]
-        starts = segment_starts(kcodes)
-        ends = np.concatenate((starts[1:], [len(kcodes)]))
-        out_u, out_v = [], []
-        for s, e in zip(starts, ends):
-            n = e - s
-            if n < 2:
-                continue
-            if n <= max_block_size:
-                iu, ju = np.triu_indices(n, k=1)
-            else:
-                offs = np.arange(1, window + 1)
-                iu = np.repeat(np.arange(n), window)
-                ju = iu + np.tile(offs, n)
-                keep = ju < n
-                iu, ju = iu[keep], ju[keep]
-            out_u.append(ids[iu + s])
-            out_v.append(ids[ju + s])
-        if not out_u:
-            return empty
-        return pd.DataFrame(
-            {"u": np.concatenate(out_u), "v": np.concatenate(out_v)}
-        )
+        return pd.DataFrame({"u": ids[i], "v": ids[j]})
 
     slim = ds.select_columns([id_column, key_column])
     return coarse_group_apply(slim, key_column, pair_partition, n_parts=n_parts)

@@ -27,7 +27,7 @@ def test_build_id_pairs_modes_agree(ray_session):
         .reset_index(drop=True)
     )
     b = (
-        build_id_pairs(files, mode="shuffle", prefilter_mode="shuffle")
+        build_id_pairs(files, mode="shuffle")
         .to_pandas()[cols]
         .astype("int64")
         .sort_values(cols)

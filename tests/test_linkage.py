@@ -7,9 +7,8 @@ import pandas as pd
 import pytest
 
 from opentapioca_ray.pipelines.linkage import (
+    corpus_stats,
     linkage_clusters,
-    repo_in_degree_prior,
-    train_idf,
     train_linkage_model,
 )
 from opentapioca_ray.sources.files import verify_sha256
@@ -29,8 +28,7 @@ def test_linkage_f1_gate(ray_session, corpus):
 
     files_df, truth = corpus
     files_ds = ray.data.from_pandas(files_df)
-    idf = train_idf(files_ds)
-    prior = repo_in_degree_prior(files_ds)
+    idf, prior = corpus_stats(files_ds)
     model = train_linkage_model(files_df, truth, idf, prior)
     clusters, scored = linkage_clusters(
         files_ds, model=model, idf=idf, prior=prior, threshold=0.0
@@ -64,23 +62,25 @@ def test_idf_and_prior(ray_session, corpus):
 
     files_df, _ = corpus
     files_ds = ray.data.from_pandas(files_df)
-    idf = train_idf(files_ds)
+    idf, prior = corpus_stats(files_ds)
     assert len(idf) > 0
     assert all(np.isfinite(v) for v in idf.values())
-    prior = repo_in_degree_prior(files_ds)
     assert prior and max(prior.values()) == 1.0
 
 
-def test_repo_prior_max_repos_cap(ray_session, corpus):
+def test_repo_prior_max_repos_cap(ray_session, corpus, monkeypatch):
     """The broadcast-state guard keeps only the top-N repos by file count;
     the surviving entries keep the same normalized values."""
     import ray.data
 
+    from opentapioca_ray.pipelines import linkage
+
     files_df, _ = corpus
     files_ds = ray.data.from_pandas(files_df)
-    full = repo_in_degree_prior(files_ds)
+    _, full = corpus_stats(files_ds)
     n_keep = max(1, len(full) // 2)
-    capped = repo_in_degree_prior(files_ds, max_repos=n_keep)
+    monkeypatch.setattr(linkage, "_MAX_REPOS", n_keep)
+    _, capped = corpus_stats(files_ds)
     assert len(capped) == n_keep
     # kept repos are the highest-count ones and retain their values
     kept_min = min(capped.values())
@@ -90,18 +90,23 @@ def test_repo_prior_max_repos_cap(ray_session, corpus):
 
 
 def test_corpus_stats_matches_separate_passes(ray_session, corpus):
+    """corpus_stats against an independent pandas computation of both
+    statistics: idf = log(N / (1 + df)) over per-file distinct tokens, and
+    prior = log1p(files per repo) / its max."""
     import ray.data
 
-    from opentapioca_ray.pipelines.linkage import corpus_stats
+    from opentapioca_ray.functions.text import tokenize
 
     files_df, _ = corpus
-    files_ds = ray.data.from_pandas(files_df)
-    idf1, prior1 = corpus_stats(files_ds)
-    idf2 = train_idf(files_ds)
-    prior2 = repo_in_degree_prior(files_ds)
-    assert set(idf1) == set(idf2)
-    assert all(abs(idf1[k] - idf2[k]) < 1e-12 for k in idf1)
-    assert prior1 == pytest.approx(prior2)
+    idf, prior = corpus_stats(ray.data.from_pandas(files_df))
+    words = files_df["content"].map(lambda t: sorted(set(tokenize(t or ""))))
+    doc_freq = words.explode().dropna().value_counts()
+    expect_idf = np.log(len(files_df) / (1.0 + doc_freq))
+    logs = np.log1p(files_df["repo"].value_counts())
+    expect_prior = logs / logs.max()
+    assert idf.keys() == set(expect_idf.index)
+    assert all(abs(idf[k] - v) < 1e-12 for k, v in expect_idf.items())
+    assert prior == pytest.approx(expect_prior.to_dict())
 
 
 def test_linkage_checkpointed_stages_and_resume(ray_session, tmp_path):

@@ -6,9 +6,9 @@ import pytest
 from opentapioca_ray.stages.pairs import (
     PairFeaturizer,
     PairScorerStage,
+    block_pairs,
     blocking_batch,
     bounded_edit_distance,
-    make_pair_group_fn,
 )
 
 
@@ -49,35 +49,26 @@ def test_blocking_near_dups_share_band():
 
 
 def test_pair_group_all_pairs_and_dedup_ids():
-    df = pd.DataFrame(
-        {
-            "file_id": [5, 3, 9, 3],
-            "repo": ["a", "b", "c", "b"],
-            "sig_head": [1, 2, 3, 2],
-            "tokens": [["x"], ["y"], ["z"], ["y"]],
-        }
-    )
-    pairs = make_pair_group_fn()(df)
-    assert len(pairs) == 3  # 3 distinct files -> 3 pairs
-    assert all(p.left_id < p.right_id for p in pairs.itertuples())
-    assert (pairs["capped"] == 0).all()
+    ids = np.array([5, 3, 9, 3])
+    sig_head = np.array([1, 2, 3, 2], dtype=np.uint64)
+    i, j, capped = block_pairs(np.zeros(4, dtype=np.int64), sig_head, ids, 64, 8)
+    assert len(i) == 3  # 3 distinct files -> 3 pairs
+    assert set(zip(ids[i].tolist(), ids[j].tolist())) == {(5, 3), (5, 9), (3, 9)}
+    assert 3 not in i and 3 not in j  # the repeated id keeps its first row
+    assert (capped == 0).all()
 
 
 def test_pair_group_skew_guard():
     n = 100
-    df = pd.DataFrame(
-        {
-            "file_id": np.arange(n),
-            "repo": ["r"] * n,
-            "sig_head": np.arange(n)[::-1],
-            "tokens": [["t"]] * n,
-        }
+    ids = np.arange(n)
+    i, j, capped = block_pairs(
+        np.full(n, "blk", dtype=object), np.arange(n)[::-1], ids, 64, 8
     )
-    pairs = make_pair_group_fn(max_block_size=64, window=8)(df)
-    assert len(pairs) < n * (n - 1) // 2
-    assert (pairs["capped"] > 0).all()
-    # bounded: at most window pairs per member
-    assert len(pairs) <= n * 8
+    assert len(i) < n * (n - 1) // 2
+    assert (capped == n * (n - 1) // 2 - len(i)).all()
+    # bounded: at most window pairs per member, neighbours in sig order
+    assert len(i) <= n * 8
+    assert (ids[i] - ids[j] >= 1).all() and (ids[i] - ids[j] <= 8).all()
 
 
 def test_bounded_edit_distance():
@@ -176,3 +167,11 @@ def test_features_batch_matches_row_featurizer():
     )
     assert got.shape == expected.shape
     assert np.allclose(got, expected, atol=1e-12)
+
+
+def test_blocking_repo_column_only_when_asked():
+    batch = files_batch([{"file_id": 1, "repo": "r1", "content": BASE}])
+    slim = blocking_batch(batch, bands=4, repo_column=None, include_tokens=False)
+    assert slim.column_names == ["block_key", "file_id", "sig_head"]
+    full = blocking_batch(batch, bands=4)
+    assert full.column("repo").to_pylist() == ["r1"] * 4
