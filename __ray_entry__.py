@@ -662,8 +662,9 @@ def _q_pagerank(sf_dir: str):
     )
     graph = compute_pagerank_local(normalize_edges(count_edges(li, "l_partkey", "l_suppkey")))
     pr = graph.pagerank
+    # + 0.0 turns the -0.0 that round() gives a -2e-18 rank into +0.0
     return pd.DataFrame(
-        {"node": range(len(pr)), "rank": pr.round(9)}
+        {"node": range(len(pr)), "rank": pr.round(9) + 0.0}
     )
 
 

@@ -6,11 +6,21 @@ cross-band dedup -> token attach (reduce-side join) -> pairwise scoring
 (stateless map_batches on the warm worker pool) -> threshold -> match
 edges -> connected components -> clusters.
 
+In the small regime (not `distributed`, files x bands <=
+`DRIVER_COMBINE_LIMIT`) the front is ONE pass: `front_batch` tokenizes
+each file once and emits both the corpus-stats partials and the band rows,
+materialized once and read by the stats merge and the driver pairing; the
+match edges are filtered on the driver off the materialized scored blocks.
+Above that volume, and on the forced-shuffle path, `corpus_stats` and
+`build_id_pairs` run as separate passes.
+
 Every wide step is a keyed shuffle with explicit keys (SURVEY.md §7.3);
 broadcast state (IDF stats, repo prior, model) ships via `ray.put` once.
 """
 
 from __future__ import annotations
+
+import os
 
 import numpy as np
 import pandas as pd
@@ -35,111 +45,78 @@ from opentapioca_ray.stages.exchange import arrow_blocks
 # so it keeps only this many repos (the ones with the most files).
 _MAX_REPOS = 2_000_000
 
+# idf entries kept in the broadcast (the lowest-idf ones)
+_MAX_VOCAB = 500_000
 
-def corpus_stats(
-    files_ds,
-    text_column: str = "content",
-    repo_column: str = "repo",
-    max_vocab: int = 500_000,
-    mode: str = "auto",
-    driver_limit: int = 5_000_000,
-) -> tuple[dict, dict]:
-    """One pass over files -> (idf dict, repo prior dict), the broadcast
-    corpus statistics of the pair scorer.
+# Partial stats rows that the driver merges directly; above, one coarse
+# exchange sums them first.
+_STATS_DRIVER_LIMIT = 5_000_000
 
-    - idf: per token, log(N / (1 + document frequency)); beyond `max_vocab`
-      tokens only the lowest-idf ones are kept (the rest score the default
-      idf).
-    - prior: the PageRank-style popularity prior from repo in-degree
-      (north_star), log1p(file count per repo) normalized to [0, 1]. Only
-      the `_MAX_REPOS` repos with the most files are kept; a missing repo
-      scores the 0.0 floor in the pair features — the same OOV treatment as
-      the reference's pagerank default (opentapioca/wikidatagraph.py:165-170).
+_STATS_SCHEMA = pa.schema(
+    [("kind", pa.int8()), ("key", pa.string()), ("count", pa.int64())]
+)
 
-    Each batch emits tagged partial counts (kind 0 = word document
-    frequency, kind 1 = repo file count), so the corpus is read and
-    tokenized once and there is no separate shuffle for the prior.
-    Scale-adaptive final merge: partial rows under `driver_limit` merge
-    with one vectorized pass on the driver; above that — or with
-    `mode="shuffle"`, which `linkage_clusters(distributed=True)` forces — a
-    distributed groupby(kind, key).sum runs first and only the
-    (vocab-bounded) aggregated rows come back to build the broadcast
-    dicts."""
-    from opentapioca_ray.state.bow import partial_word_counts
 
-    n_docs = files_ds.count()
+def _stats_partials(batch: pa.Table, flat, counts, repo_column: str) -> pa.Table:
+    """One batch's tagged partial counts over its `tokenize_flat` stream of
+    the full content: kind 0 = word document frequency, kind 1 = repo file
+    count (first-appearance order)."""
+    import pyarrow.compute as pc
 
-    def partial(batch: pa.Table) -> pa.Table:
-        words = partial_word_counts(batch, text_column)
-        repos: dict[str, int] = {}
-        if repo_column in batch.column_names:
-            for r in batch.column(repo_column).to_pylist():
-                repos[r] = repos.get(r, 0) + 1
-        n_w, n_r = words.num_rows, len(repos)
-        return pa.table(
-            {
-                "kind": pa.array([0] * n_w + [1] * n_r, type=pa.int8()),
-                "key": pa.concat_arrays(
-                    [
-                        words.column("word").combine_chunks(),
-                        pa.array(list(repos.keys()), type=pa.string()),
-                    ]
-                ),
-                "count": pa.concat_arrays(
-                    [
-                        words.column("count").cast(pa.int64()).combine_chunks(),
-                        pa.array(list(repos.values()), type=pa.int64()),
-                    ]
-                ),
-            }
-        )
+    from opentapioca_ray.state.bow import word_counts_from_flat
 
-    parts = files_ds.map_batches(partial, batch_format="pyarrow")
-    if mode == "auto":
-        parts = parts.materialize()
-        mode = "driver" if parts.count() <= driver_limit else "shuffle"
-    if mode == "shuffle":
-        # ONE coarse exchange on hash(key) % P (int sort, not a full
-        # string-key groupby over every partial row); each partition sums
-        # its (kind, key) groups vectorized, so only vocab-sized aggregated
-        # rows come back to the driver.
-        from opentapioca_ray.stages.exchange import coarse_group_apply
+    words = word_counts_from_flat(flat, counts)
+    if repo_column in batch.column_names:
+        repos = pc.value_counts(batch.column(repo_column).cast(pa.string()))
+        repo_keys, repo_counts = repos.field("values"), repos.field("counts")
+    else:
+        repo_keys, repo_counts = pa.array([], pa.string()), pa.array([], pa.int64())
+    n_w, n_r = words.num_rows, len(repo_keys)
+    return pa.table(
+        {
+            "kind": pa.array(np.repeat(np.array([0, 1], np.int8), [n_w, n_r])),
+            "key": pa.concat_arrays([words.column("word").combine_chunks(), repo_keys]),
+            "count": pa.concat_arrays(
+                [words.column("count").combine_chunks(), repo_counts.cast(pa.int64())]
+            ),
+        },
+        schema=_STATS_SCHEMA,
+    )
 
-        def sum_partition(df: pd.DataFrame) -> pd.DataFrame:
-            if df.empty:
-                return pd.DataFrame(
-                    {
-                        "kind": pd.Series(dtype=np.int8),
-                        "key": pd.Series(dtype=object),
-                        "count": pd.Series(dtype=np.int64),
-                    }
-                )
-            out = (
-                df.groupby(["kind", "key"], sort=False)["count"]
-                .sum()
-                .reset_index()
-            )
-            out["count"] = out["count"].astype(np.int64)
-            return out
 
-        parts = coarse_group_apply(parts, "key", sum_partition)
-    tables = []
-    for t in arrow_blocks(parts):
-        if t.num_rows and "kind" in t.column_names:
-            tables.append(t)
+def _sum_partials_shuffle(parts):
+    """ONE coarse exchange on hash(key) % P (int sort, not a full string-key
+    groupby over every partial row); each partition sums its (kind, key)
+    groups vectorized, so only vocab-sized aggregated rows come back to the
+    driver."""
+    from opentapioca_ray.stages.exchange import coarse_group_apply
+
+    def sum_partition(df: pd.DataFrame) -> pd.DataFrame:
+        if df.empty:
+            return _STATS_SCHEMA.empty_table().to_pandas()
+        out = df.groupby(["kind", "key"], sort=False)["count"].sum().reset_index()
+        out["count"] = out["count"].astype(np.int64)
+        return out
+
+    return coarse_group_apply(parts, "key", sum_partition)
+
+
+def _merge_stats(tables, n_docs: int, max_vocab: int) -> tuple[dict, dict]:
+    """Driver merge of (kind, key, count) partial rows -> (idf, prior): one
+    vectorized dictionary-encode + bincount pass per kind."""
+    import pyarrow.compute as pc
+
+    tables = [t for t in tables if t.num_rows and "kind" in t.column_names]
     if not tables:
         return {}, {}
     merged = pa.concat_tables(tables).combine_chunks()
 
     def _sum_by_key(t: pa.Table) -> dict:
-        # vectorized: dictionary-encode keys, bincount the counts
         enc = t.column("key").combine_chunks().dictionary_encode()
         codes = enc.indices.to_numpy(zero_copy_only=False)
         cnts = t.column("count").to_numpy(zero_copy_only=False).astype(np.int64)
         sums = np.bincount(codes, weights=cnts).astype(np.int64)
         return dict(zip(enc.dictionary.to_pylist(), sums.tolist()))
-
-    import pyarrow.compute as pc
 
     word_sum = _sum_by_key(merged.filter(pc.equal(merged.column("kind"), 0)))
     repo_sum = _sum_by_key(merged.filter(pc.equal(merged.column("kind"), 1)))
@@ -157,6 +134,52 @@ def corpus_stats(
     else:
         prior = {}
     return idf, prior
+
+
+def corpus_stats(
+    files_ds,
+    text_column: str = "content",
+    repo_column: str = "repo",
+    max_vocab: int = _MAX_VOCAB,
+    mode: str = "auto",
+    driver_limit: int = _STATS_DRIVER_LIMIT,
+) -> tuple[dict, dict]:
+    """One pass over files -> (idf dict, repo prior dict), the broadcast
+    corpus statistics of the pair scorer.
+
+    - idf: per token, log(N / (1 + document frequency)); beyond `max_vocab`
+      tokens only the lowest-idf ones are kept (the rest score the default
+      idf).
+    - prior: the PageRank-style popularity prior from repo in-degree
+      (north_star), log1p(file count per repo) normalized to [0, 1]. Only
+      the `_MAX_REPOS` repos with the most files are kept; a missing repo
+      scores the 0.0 floor in the pair features — the same OOV treatment as
+      the reference's pagerank default (opentapioca/wikidatagraph.py:165-170).
+
+    Each batch emits tagged partial counts (`_stats_partials`: kind 0 =
+    word document frequency, kind 1 = repo file count), so the corpus is
+    read and tokenized once and there is no separate shuffle for the prior.
+    Scale-adaptive final merge: partial rows under `driver_limit` merge
+    with one vectorized pass on the driver; above that — or with
+    `mode="shuffle"`, which `linkage_clusters(distributed=True)` forces — a
+    distributed groupby(kind, key).sum runs first and only the
+    (vocab-bounded) aggregated rows come back to build the broadcast
+    dicts."""
+    from opentapioca_ray.functions.text import tokenize_flat
+
+    n_docs = files_ds.count()
+
+    def partial(batch: pa.Table) -> pa.Table:
+        flat, counts = tokenize_flat(batch.column(text_column).to_pylist())
+        return _stats_partials(batch, flat, counts, repo_column)
+
+    parts = files_ds.map_batches(partial, batch_format="pyarrow")
+    if mode == "auto":
+        parts = parts.materialize()
+        mode = "driver" if parts.count() <= driver_limit else "shuffle"
+    if mode == "shuffle":
+        parts = _sum_partials_shuffle(parts)
+    return _merge_stats(arrow_blocks(parts), n_docs, max_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -183,15 +206,35 @@ def score_pairs(pairs_ds, idf: dict, prior: dict, model: LinearModel | None):
     return pairs_ds.map_batches(score_batch, batch_format="pyarrow")
 
 
+def _edges_of(batch: pa.Table, threshold: float) -> pa.Table:
+    import pyarrow.compute as pc
+
+    t = batch.filter(pc.greater(batch.column("score"), threshold))
+    return pa.table({"u": t.column("left_id"), "v": t.column("right_id")})
+
+
 def match_edges(scored_unique_ds, threshold: float = 0.0):
-    def to_edges(batch: pa.Table) -> pa.Table:
-        import pyarrow.compute as pc
+    return scored_unique_ds.map_batches(
+        lambda b: _edges_of(b, threshold), batch_format="pyarrow"
+    )
 
-        mask = pc.greater(batch.column("score"), threshold)
-        t = batch.filter(mask)
-        return pa.table({"u": t.column("left_id"), "v": t.column("right_id")})
 
-    return scored_unique_ds.map_batches(to_edges, batch_format="pyarrow")
+def _driver_match_edges(scored, threshold: float):
+    """`match_edges` of a MATERIALIZED scored dataset, filtered on the driver
+    over its blocks (no execution) and returned as ONE `from_arrow` block."""
+    import ray.data as rd
+
+    DRIVER_COLLECTS["pairs_proportional"] += 1  # scored pairs
+    edges = [
+        _edges_of(t, threshold)
+        for t in arrow_blocks(scored)
+        if t.num_rows and "score" in t.column_names
+    ]
+    if not edges:
+        return rd.from_arrow(
+            pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
+        )
+    return rd.from_arrow(pa.concat_tables(edges).combine_chunks())
 
 
 _DRIVER_PAIRS_LIMIT = 20_000_000
@@ -201,20 +244,20 @@ _DRIVER_PAIRS_LIMIT = 20_000_000
 _SHUFFLE_PAIR_PARTS = 1024
 
 
-def _driver_id_pairs(blocks_ds, survivors, max_block_size: int, window: int):
-    """Small-regime pair generation: each materialized band block is
-    filtered against the `survivors` key set as it is read (None keeps
-    every row), and the surviving rows — a tiny fraction of the band rows —
-    are held as three numpy columns and paired + cross-band-deduplicated
-    vectorized on the driver, with zero shuffles. Same semantics
-    (all-pairs / sorted-neighborhood skew guard / Max(capped) / band
-    count) as the distributed path."""
+def _driver_id_pairs(tables, survivors, max_block_size: int, window: int):
+    """Small-regime pair generation: each band-row table (block_key,
+    file_id, sig_head) is filtered against the `survivors` key set as it is
+    read (None keeps every row), and the surviving rows — a tiny fraction
+    of the band rows — are held as three numpy columns and paired +
+    cross-band-deduplicated vectorized on the driver, with zero shuffles.
+    Same semantics (all-pairs / sorted-neighborhood skew guard /
+    Max(capped) / band count) as the distributed path."""
     import pyarrow.compute as pc
     import ray.data as rd
 
     DRIVER_COLLECTS["pairs_proportional"] += 1  # candidate rows
     key_chunks, id_chunks, sig_chunks = [], [], []
-    for t in arrow_blocks(blocks_ds):
+    for t in tables:
         if t.num_rows == 0 or "block_key" not in t.column_names:
             continue
         if survivors is not None:
@@ -278,12 +321,7 @@ def build_id_pairs(
     the driver (no shuffle). Above that, or with `mode="shuffle"`, the
     groupby(block_key) + groupby(pair) coarse shuffles run distributed.
     Both regimes pair each band block with `stages/pairs.block_pairs`."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
-    from opentapioca_ray.stages.pairs import (
-        DRIVER_COMBINE_LIMIT,
-        keep_keys,
-        surviving_keys,
-    )
+    from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
 
     blocks = files_ds.map_batches(
         lambda b: blocking_batch(
@@ -319,18 +357,33 @@ def build_id_pairs(
         # own count is a full groupby(block_key) sort over every band row
         # (5M distinct keys), strictly more expensive than the one
         # coarse-partition sort (P distinct keys) it would be saving.
-        candidates = blocks
-    else:
-        blocks = blocks.materialize()
-        survivors, n_survivors = surviving_keys(arrow_blocks(blocks))
-        if mode == "driver" or n_survivors <= _DRIVER_PAIRS_LIMIT:
-            return _driver_id_pairs(blocks, survivors, max_block_size, window)
-        candidates = keep_keys(blocks, survivors)
+        return _shuffle_id_pairs(blocks, max_block_size, window)
+    blocks = blocks.materialize()
+    return _band_pairs(list(arrow_blocks(blocks)), blocks, mode, max_block_size, window)
 
-    # Scale path: shuffle by a COARSE partition key (hash of block_key mod
-    # P) so each group holds many whole blocks and is paired with the same
-    # vectorized kernel — per-group work is O(partition), not a per-tiny-
-    # group pandas call (which collapses at millions of singleton-ish keys).
+
+def _band_pairs(tables, bands_ds, mode: str, max_block_size: int, window: int):
+    """Pairs of MATERIALIZED band rows: `tables` are their blocks (read on
+    the driver, no execution), `bands_ds` the dataset they came from. The
+    singleton-key count decides the regime: driver pairing up to
+    `_DRIVER_PAIRS_LIMIT` surviving rows (or with `mode="driver"`), else a
+    distributed `keep_keys` filter of `bands_ds` and the shuffle pairing."""
+    from opentapioca_ray.stages.pairs import keep_keys, surviving_keys
+
+    survivors, n_survivors = surviving_keys(tables)
+    if mode == "driver" or n_survivors <= _DRIVER_PAIRS_LIMIT:
+        return _driver_id_pairs(tables, survivors, max_block_size, window)
+    return _shuffle_id_pairs(keep_keys(bands_ds, survivors), max_block_size, window)
+
+
+def _shuffle_id_pairs(candidates, max_block_size: int, window: int):
+    """Scale-path pair generation over band rows (block_key, file_id,
+    sig_head): shuffle by a COARSE partition key (hash of block_key mod P)
+    so each group holds many whole blocks and is paired with the same
+    vectorized kernel — per-group work is O(partition), not a per-tiny-
+    group pandas call (which collapses at millions of singleton-ish keys)."""
+    from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
+
     def pair_partition(t: pa.Table) -> pa.Table:
         ids = t.column("file_id").to_numpy().astype(np.int64)
         i, j, cap = block_pairs(
@@ -359,6 +412,112 @@ def build_id_pairs(
     )
 
 
+# The linkage front: ONE tokenizing map over the files emits both the
+# corpus-stats partials and the slim band rows, in one block schema (nulls
+# where a column does not apply, empty batches included), so block types
+# never depend on execution order.
+_FRONT_SCHEMA = pa.schema(
+    [
+        ("kind", pa.int8()),  # 0 word df, 1 repo count (stats); 2 band row
+        ("key", pa.string()),
+        ("count", pa.int64()),
+        ("block_key", pa.int64()),
+        ("file_id", pa.int64()),
+        ("sig_head", pa.uint64()),
+    ]
+)
+_BAND_KIND = 2
+_BAND_COLUMNS = ["block_key", "file_id", "sig_head"]
+
+
+def _front_rows(t: pa.Table) -> pa.Table:
+    """`t` in the front schema, null columns added."""
+    return pa.table(
+        [
+            t.column(f.name) if f.name in t.column_names else pa.nulls(t.num_rows, f.type)
+            for f in _FRONT_SCHEMA
+        ],
+        schema=_FRONT_SCHEMA,
+    )
+
+
+def front_batch(
+    batch: pa.Table, num_perm: int, bands: int, shingle_k: int, with_stats: bool
+) -> pa.Table:
+    """The linkage front's kernel: `corpus_stats`' partials (kind 0/1, only
+    `with_stats`) plus `build_id_pairs`' slim u64 band rows (kind 2) from
+    ONE `tokenize_flat` pass over the full content. Blocking reads
+    `content[:CONTENT_CAP]`, whose tokens are the full stream's unless the
+    file is longer (the cut can fall mid-token): only those files are
+    re-tokenized on their prefix and spliced into the stream."""
+    from opentapioca_ray.functions.text import tokenize_flat
+    from opentapioca_ray.stages.pairs import CONTENT_CAP, band_columns, gather_index
+
+    texts = batch.column("content").to_pylist()
+    flat, counts = tokenize_flat(texts)
+    parts = []
+    if with_stats:
+        parts.append(_front_rows(_stats_partials(batch, flat, counts, "repo")))
+    long = [i for i, t in enumerate(texts) if t is not None and len(t) > CONTENT_CAP]
+    if long:
+        pflat, pcounts = tokenize_flat([texts[i][:CONTENT_CAP] for i in long])
+        starts = np.cumsum(counts) - counts
+        starts[long] = len(flat) + np.cumsum(pcounts) - pcounts
+        counts = counts.copy()
+        counts[long] = pcounts
+        flat = np.concatenate([flat, pflat])[gather_index(starts, counts)]
+    ids = batch.column("file_id").to_numpy(zero_copy_only=False)
+    band = pa.table(band_columns(ids, flat, counts, num_perm, bands, shingle_k))
+    kind = pa.array(np.full(band.num_rows, _BAND_KIND, dtype=np.int8))
+    parts.append(_front_rows(band.append_column("kind", kind)))
+    return pa.concat_tables(parts)
+
+
+def _front_pass(files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size, window):
+    """Small-regime linkage front -> (idf, prior, pairs_ds): ONE Ray Data
+    execution (`front_batch` over the materialized files) feeds both the
+    corpus stats (computed only for a missing `idf`/`prior`) and the
+    driver pair generation, read off the same materialized blocks — the
+    same outputs as `corpus_stats` + `build_id_pairs(mode="auto")` below
+    `DRIVER_COMBINE_LIMIT` band rows. The stats keep `corpus_stats`'
+    driver/shuffle merge decision, and the pairs `build_id_pairs`'
+    fallback to the shuffle pairing above `_DRIVER_PAIRS_LIMIT`
+    surviving rows."""
+    import pyarrow.compute as pc
+
+    with_stats = idf is None or prior is None
+    front = files_ds.map_batches(
+        lambda b: front_batch(b, num_perm, bands, shingle_k, with_stats),
+        batch_format="pyarrow",
+    ).materialize()
+
+    def stat_rows(t: pa.Table) -> pa.Table:
+        return t.filter(pc.not_equal(t.column("kind"), _BAND_KIND)).select(
+            _STATS_SCHEMA.names
+        )
+
+    stat_tables, band_tables = [], []
+    for t in arrow_blocks(front):
+        if t.num_rows == 0 or "kind" not in t.column_names:
+            continue  # empty blocks may arrive schema-less
+        stat_tables.append(stat_rows(t))
+        band_tables.append(
+            t.filter(pc.equal(t.column("kind"), _BAND_KIND)).select(_BAND_COLUMNS)
+        )
+    if with_stats:
+        if sum(t.num_rows for t in stat_tables) > _STATS_DRIVER_LIMIT:
+            stat_tables = arrow_blocks(
+                _sum_partials_shuffle(front.map_batches(stat_rows, batch_format="pyarrow"))
+            )
+        stats_idf, stats_prior = _merge_stats(stat_tables, files_ds.count(), _MAX_VOCAB)
+        idf = stats_idf if idf is None else idf
+        prior = stats_prior if prior is None else prior
+    pairs = _band_pairs(
+        band_tables, front.select_columns(_BAND_COLUMNS), "auto", max_block_size, window
+    )
+    return idf, prior, pairs
+
+
 _DRIVER_ATTACH_LIMIT = 200_000
 
 # Telemetry for the scaling contract: every driver-side collect whose volume
@@ -385,7 +544,7 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
     import ray
     import pyarrow.compute as pc
 
-    from opentapioca_ray.stages.pairs import TOKENS_CAP
+    from opentapioca_ray.stages.pairs import CONTENT_CAP, TOKENS_CAP, token_prefix_lists
 
     cap = tokens_cap or TOKENS_CAP
     pairs_ds = pairs_ds.materialize()  # small: deduped candidate pairs
@@ -408,21 +567,8 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
                 t = batch.filter(mask)
             else:
                 t = batch
-            texts = [(c or "")[:10000] for c in t.column("content").to_pylist()]
-            flat, counts = tokenize_flat(texts)
-            capped = np.minimum(counts, cap)
-            starts = np.cumsum(counts) - counts
-            take_idx = (
-                np.concatenate([np.arange(s, s + c) for s, c in zip(starts, capped)])
-                if len(texts)
-                else np.zeros(0, dtype=np.int64)
-            )
-            offsets = np.zeros(len(texts) + 1, dtype=np.int64)
-            np.cumsum(capped, out=offsets[1:])
-            token_lists = pa.ListArray.from_arrays(
-                pa.array(offsets, type=pa.int32()),
-                pa.array(flat[take_idx], type=pa.string()),
-            )
+            texts = [(c or "")[:CONTENT_CAP] for c in t.column("content").to_pylist()]
+            token_lists = token_prefix_lists(*tokenize_flat(texts), cap)
             return pa.table(
                 {
                     "file_id": t.column("file_id"),
@@ -634,8 +780,18 @@ def linkage_clusters(
 ):
     """Full pipeline -> (clusters_ds (node, component), scored_pairs_ds).
 
+    Small regime (`distributed=False` and files x bands <=
+    `DRIVER_COMBINE_LIMIT`, where `build_id_pairs` pairs on the driver):
+    ONE front pass (`_front_pass`) tokenizes each file once and yields both
+    the corpus stats and the candidate pairs, and the match edges are
+    filtered on the driver straight off the materialized scored blocks
+    when attach took its driver regime. With a collect of the clusters
+    that is 4 Ray Data executions: the front, attach's token rows, the
+    scored pairs and the caller's collect. Above that volume the stats and
+    the pairs run as `corpus_stats` + `build_id_pairs` passes.
+
     `distributed=True` forces every VOLUME-carrying stage (corpus stats,
-    blocking, pair generation, token attach) onto its
+    blocking, pair generation, token attach, match edges) onto its
     distributed/shuffle implementation — no driver-side small-regime
     shortcuts on anything that scales with the input; the configuration the
     scaling benchmark measures. Connected components keeps its own
@@ -652,15 +808,22 @@ def linkage_clusters(
     """
     import ray.data as rd
 
-    files_ds = files_ds.materialize()  # consumed by idf, prior, blocks, tokens
+    from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
+
+    files_ds = files_ds.materialize()  # consumed by the front and the tokens
     mode = "shuffle" if distributed else "auto"
-    if idf is None or prior is None:
-        stats_idf, stats_prior = corpus_stats(files_ds, mode=mode)
-        idf = stats_idf if idf is None else idf
-        prior = stats_prior if prior is None else prior
-    pairs = build_id_pairs(
-        files_ds, num_perm, bands, shingle_k, max_block_size, window, mode=mode
-    )
+    if not distributed and files_ds.count() * bands <= DRIVER_COMBINE_LIMIT:
+        idf, prior, pairs = _front_pass(
+            files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size, window
+        )
+    else:
+        if idf is None or prior is None:
+            stats_idf, stats_prior = corpus_stats(files_ds, mode=mode)
+            idf = stats_idf if idf is None else idf
+            prior = stats_prior if prior is None else prior
+        pairs = build_id_pairs(
+            files_ds, num_perm, bands, shingle_k, max_block_size, window, mode=mode
+        )
     enriched = attach_pair_tokens(pairs, files_ds, mode=mode)
     if enriched is None:  # no candidate pairs at all
         empty_sc = pa.schema(
@@ -675,7 +838,10 @@ def linkage_clusters(
     # callers re-read it: F1 eval, the oracle's match-edge dump); left lazy,
     # each consumer re-runs the whole blocking+scoring pipeline
     scored = scored.materialize()
-    edges = match_edges(scored, threshold)
+    if not distributed and scored.count() <= _DRIVER_ATTACH_LIMIT:
+        edges = _driver_match_edges(scored, threshold)  # attach's driver regime
+    else:
+        edges = match_edges(scored, threshold)
     clusters = connected_components(edges)
     return clusters, scored
 
@@ -699,7 +865,14 @@ def linkage_checkpointed(
     from opentapioca_ray.sources.files import read_files
 
     ckpt = StageCheckpoint(out_root)
-    base_params = {"sf_dir": sf_dir, "replicate": replicate}
+    # the input's size and mtime are fingerprinted too: a documents.parquet
+    # rewritten at the same path rebuilds every stage
+    st = os.stat(f"{sf_dir}/documents.parquet")
+    base_params = {
+        "sf_dir": sf_dir,
+        "replicate": replicate,
+        "documents": {"size": st.st_size, "mtime_ns": st.st_mtime_ns},
+    }
 
     files = ckpt.run("files", base_params, [], lambda: read_files(sf_dir, replicate))
     files = files.materialize()
@@ -755,7 +928,7 @@ def featurize_labeled_pairs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Driver-side design matrix for the (small) labeled-pairs corpus."""
     from opentapioca_ray.functions.text import tokenize
-    from opentapioca_ray.stages.pairs import TOKENS_CAP
+    from opentapioca_ray.stages.pairs import CONTENT_CAP, TOKENS_CAP
 
     feat = PairFeaturizer(idf, prior)
     by_id = files_df.set_index("file_id")
@@ -764,8 +937,8 @@ def featurize_labeled_pairs(
         left = by_id.loc[r.left_id]
         right = by_id.loc[r.right_id]
         row = {
-            "left_tokens": tokenize(str(left["content"])[:10000])[:TOKENS_CAP],
-            "right_tokens": tokenize(str(right["content"])[:10000])[:TOKENS_CAP],
+            "left_tokens": tokenize(str(left["content"])[:CONTENT_CAP])[:TOKENS_CAP],
+            "right_tokens": tokenize(str(right["content"])[:CONTENT_CAP])[:TOKENS_CAP],
             "left_repo": left["repo"],
             "right_repo": right["repo"],
         }

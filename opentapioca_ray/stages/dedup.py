@@ -19,7 +19,7 @@ import pyarrow as pa
 from opentapioca_ray.functions.minhash import jaccard, simhash
 from opentapioca_ray.functions.vectors import list_to_matrix, matrix_to_list
 from opentapioca_ray.stages.cc import connected_components
-from opentapioca_ray.stages.pairs import block_pairs, blocking_batch
+from opentapioca_ray.stages.pairs import CONTENT_CAP, block_pairs, blocking_batch
 from opentapioca_ray.stages.exchange import arrow_blocks
 
 
@@ -260,7 +260,7 @@ def simhash_batch(
     from opentapioca_ray.functions.minhash import shingle_hashes_from_flat
     from opentapioca_ray.functions.text import tokenize_flat
 
-    flat, counts = tokenize_flat([(text or "")[:10000] for text in texts])
+    flat, counts = tokenize_flat([(text or "")[:CONTENT_CAP] for text in texts])
     hash_lists = shingle_hashes_from_flat(flat, counts, shingle_k)
     out_id, out_sim, out_band = [], [], []
     for fid, hashes in zip(ids, hash_lists):

@@ -35,6 +35,67 @@ from opentapioca_ray.functions.minhash import band_keys
 from opentapioca_ray.stages.exchange import arrow_blocks, segment_starts
 
 TOKENS_CAP = 128  # token prefix carried through the block shuffle
+CONTENT_CAP = 10_000  # characters of content that blocking and token prefixes read
+
+
+def gather_index(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the segments `[starts[i], starts[i] + lengths[i])`,
+    concatenated in order — one vectorized pass, no per-segment loop."""
+    offsets = np.zeros(len(lengths) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=offsets[1:])
+    return np.repeat(starts - offsets[:-1], lengths) + np.arange(offsets[-1])
+
+
+def token_prefix_lists(flat_tokens: np.ndarray, counts: np.ndarray, cap: int) -> pa.ListArray:
+    """Per-doc token prefixes, at most `cap` tokens each, as ONE Arrow list
+    array over a `tokenize_flat` stream."""
+    capped = np.minimum(counts, cap)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(capped, out=offsets[1:])
+    take_idx = gather_index(np.cumsum(counts) - counts, capped)
+    return pa.ListArray.from_arrays(
+        pa.array(offsets, type=pa.int32()),
+        pa.array(flat_tokens[take_idx], type=pa.string()),
+    )
+
+
+def band_columns(
+    ids: np.ndarray,
+    flat_tokens: np.ndarray,
+    counts: np.ndarray,
+    num_perm: int,
+    bands: int,
+    shingle_k: int,
+    key_type: str = "u64",
+) -> dict:
+    """The MinHash-LSH band rows of already-tokenized docs: token shingles
+    -> MinHash signature -> `bands` keys per doc, file-major. Returns the
+    columns block_key, file_id and sig_head (the signature's first value,
+    the within-block order of `block_pairs`)."""
+    from opentapioca_ray.functions.minhash import (
+        band_keys_u64_batch,
+        minhash_signature_batch,
+        shingle_hashes_from_flat,
+    )
+
+    hash_lists = shingle_hashes_from_flat(flat_tokens, counts, shingle_k)
+    sigs = minhash_signature_batch(hash_lists, num_perm)  # (n, num_perm)
+    if key_type == "u64":
+        key_arr = pa.array(
+            band_keys_u64_batch(sigs, bands).reshape(-1), type=pa.int64()
+        )
+    else:
+        key_arr = pa.array(
+            [k for i in range(len(ids)) for k in band_keys(sigs[i], bands)],
+            type=pa.string(),
+        )
+    return {
+        "block_key": key_arr,
+        "file_id": pa.array(
+            np.repeat(np.asarray(ids, dtype=np.int64), bands), type=pa.int64()
+        ),
+        "sig_head": pa.array(np.repeat(sigs[:, 0], bands), type=pa.uint64()),
+    }
 
 
 def blocking_batch(
@@ -50,66 +111,39 @@ def blocking_batch(
 ) -> pa.Table:
     """files batch -> (block_key, file_id[, repo], sig_head[, tokens]) rows.
 
-    The `repo` column is emitted only when `repo_column` is set ("" for a
-    batch without that column). `include_tokens=False` is the slim/scale
-    path: the block shuffle then moves only (key, id, sig) per row —
-    O(bytes) per band instead of O(TOKENS_CAP); token payloads are attached
-    to the (far fewer) surviving candidate pairs afterwards
-    (pipelines/linkage.py)."""
-    ids = batch.column(id_column).to_pylist()
-    texts = batch.column(text_column).to_pylist()
-    from opentapioca_ray.functions.minhash import (
-        band_keys_u64_batch,
-        minhash_signature_batch,
-        shingle_hashes_from_flat,
-    )
+    The first `CONTENT_CAP` characters of each file are tokenized once and
+    feed `band_columns`. The `repo` column is emitted only when
+    `repo_column` is set ("" for a batch without that column).
+    `include_tokens=False` is the slim/scale path: the block shuffle then
+    moves only (key, id, sig) per row — O(bytes) per band instead of
+    O(TOKENS_CAP); token payloads are attached to the (far fewer) surviving
+    candidate pairs afterwards (pipelines/linkage.py)."""
     from opentapioca_ray.functions.text import tokenize_flat
 
-    flat_tokens, counts = tokenize_flat([(text or "")[:10000] for text in texts])
-    hash_lists = shingle_hashes_from_flat(flat_tokens, counts, shingle_k)
-    sigs = minhash_signature_batch(hash_lists, num_perm)  # (n, num_perm)
+    ids = batch.column(id_column).to_pylist()
+    texts = batch.column(text_column).to_pylist()
+    flat_tokens, counts = tokenize_flat([(text or "")[:CONTENT_CAP] for text in texts])
     n = len(ids)
-
-    if key_type == "u64":
-        key_arr = pa.array(
-            band_keys_u64_batch(sigs, bands).reshape(-1), type=pa.int64()
-        )
-    else:
-        key_arr = pa.array(
-            [k for i in range(n) for k in band_keys(sigs[i], bands)],
-            type=pa.string(),
-        )
-    cols = {
-        "block_key": key_arr,
-        "file_id": pa.array(
-            np.repeat(np.asarray(ids, dtype=np.int64), bands), type=pa.int64()
-        ),
-    }
+    out = pa.table(
+        band_columns(ids, flat_tokens, counts, num_perm, bands, shingle_k, key_type)
+    )
     if repo_column:
         repos = (
             batch.column(repo_column).to_pylist()
             if repo_column in batch.column_names
             else [""] * n
         )
-        cols["repo"] = pa.array(np.repeat(np.asarray(repos, dtype=object), bands))
-    cols["sig_head"] = pa.array(np.repeat(sigs[:, 0], bands), type=pa.uint64())
+        out = out.add_column(
+            2, "repo", pa.array(np.repeat(np.asarray(repos, dtype=object), bands))
+        )
     if include_tokens:
         # per-doc token prefix as ONE Arrow list array (no per-band Python
         # sublists), band-replicated with a C-level take
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        capped = np.minimum(counts, TOKENS_CAP)
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(capped, out=offsets[1:])
-        take_idx = (
-            np.concatenate([np.arange(s, s + c) for s, c in zip(starts, capped)])
-            if n
-            else np.zeros(0, dtype=np.int64)
+        per_doc = token_prefix_lists(flat_tokens, counts, TOKENS_CAP)
+        out = out.append_column(
+            "tokens", per_doc.take(pa.array(np.repeat(np.arange(n), bands)))
         )
-        values = pa.array(flat_tokens[take_idx], type=pa.string())
-        per_doc = pa.ListArray.from_arrays(pa.array(offsets, type=pa.int32()), values)
-        cols["tokens"] = per_doc.take(pa.array(np.repeat(np.arange(n), bands)))
-    return pa.table(cols)
+    return out
 
 
 # Arrow-native value_counts handles tens of millions of keys in seconds on

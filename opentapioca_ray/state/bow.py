@@ -94,40 +94,34 @@ class BOWLanguageModel:
 # Distributed training (Ray Data)
 # ---------------------------------------------------------------------------
 
-def _distinct_doc_word_pairs(batch: pa.Table, text_column: str):
-    """Vectorized distinct-(row, word) pairs for a batch: tokenize the whole
-    batch flat, factorize tokens to int codes, dedupe (doc, code) with one
-    `np.unique` over a fused int64 key. Returns `(uniques, dedup_codes)`
-    where `uniques` is the object array of distinct words and `dedup_codes`
-    the code of each surviving (row, word) pair. Same multiset semantics as
-    per-row `set(tokenize(text))` — and deterministic, unlike Python set
-    iteration order."""
-    import numpy as np
-    import pandas as pd
-
-    from opentapioca_ray.functions.text import tokenize_flat
-
-    texts = batch.column(text_column).to_pylist()
-    flat, counts = tokenize_flat(texts)
-    if len(flat) == 0:
-        return np.empty(0, dtype=object), np.zeros(0, dtype=np.int64)
-    codes, uniques = pd.factorize(flat)
-    doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-    key = doc_idx * np.int64(len(uniques)) + codes
-    uk = np.unique(key)
-    return np.asarray(uniques, dtype=object), (uk % len(uniques)).astype(np.int64)
-
-
 def partial_word_counts(batch: pa.Table, text_column: str) -> pa.Table:
     """Combiner: count distinct-per-row words inside the batch BEFORE the
     shuffle, so the groupby moves (word, partial_count) not raw tokens."""
-    import numpy as np
+    from opentapioca_ray.functions.text import tokenize_flat
 
-    uniques, dedup_codes = _distinct_doc_word_pairs(batch, text_column)
-    cnt = np.bincount(dedup_codes, minlength=len(uniques))
+    return word_counts_from_flat(*tokenize_flat(batch.column(text_column).to_pylist()))
+
+
+def word_counts_from_flat(flat, counts) -> pa.Table:
+    """`partial_word_counts` of an already-tokenized batch (`tokenize_flat`'s
+    `(flat, counts)`): (word, count) rows, count = the number of rows the
+    word occurs in. Tokens are factorized to int codes and the distinct
+    (row, word) pairs found with one `np.unique` over a fused int64 key —
+    the multiset of per-row `set(tokenize(text))`, in a deterministic order
+    (first appearance), unlike Python set iteration."""
+    import numpy as np
+    import pandas as pd
+
+    if len(flat) == 0:
+        uniques, cnt = np.empty(0, dtype=object), np.zeros(0, dtype=np.int64)
+    else:
+        codes, uniques = pd.factorize(flat)
+        doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
+        distinct = np.unique(doc_idx * np.int64(len(uniques)) + codes) % len(uniques)
+        cnt = np.bincount(distinct, minlength=len(uniques))
     return pa.table(
         {
-            "word": pa.array(uniques, type=pa.string()),
+            "word": pa.array(np.asarray(uniques, dtype=object), type=pa.string()),
             "count": pa.array(cnt, type=pa.int64()),
         }
     )

@@ -139,16 +139,17 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
     """`linkage_clusters` plus a collect of the clusters runs each stage's
     plan once. On this 100-file corpus every adaptive stage takes its
     driver regime, and the executions are:
-      1. corpus_stats: the per-block partial counts (materialize)
-      2. build_id_pairs: the band rows (materialize); the singleton-key
-         count and the driver pairing read those blocks, no execution
-      3. attach_pair_tokens: the token rows of the paired files (collect)
-      4. linkage_clusters: the scored pairs (materialize)
-      5. connected_components: the match edges (materialize); the local
-         regime returns its labels as one `from_arrow` block
-      6. the caller's collect of the clusters
+      1. the linkage front (`_front_pass`): stats partials and band rows
+         from one tokenizing map (materialize); the stats merge, the
+         singleton-key count and the driver pairing read those blocks
+      2. attach_pair_tokens: the token rows of the paired files (collect)
+      3. linkage_clusters: the scored pairs (materialize); the match edges
+         are filtered on the driver off those blocks, and the local
+         connected-components regime returns its labels as one
+         `from_arrow` block
+      4. the caller's collect of the clusters
     A collect that also fetches the dataset schema (`to_arrow_refs`)
-    re-runs a lazy plan and adds an execution to 3."""
+    re-runs a lazy plan and adds an execution to 2."""
     import ray.data
 
     from opentapioca_ray.stages.exchange import arrow_blocks
@@ -158,8 +159,157 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
     start = ray_execs()
     clusters, _ = linkage_clusters(files_ds, model=None, threshold=0.2)
     nodes = sum(t.num_rows for t in arrow_blocks(clusters))
-    assert ray_execs() - start == 6
+    assert ray_execs() - start == 4
     assert nodes > 0
+
+
+def _front_corpus():
+    """Synthetic files plus the edge cases of the front: near-duplicate
+    files longer than CONTENT_CAP whose cut falls mid-token, a None and an
+    empty content, and non-ASCII tokens (some fold to nothing)."""
+    from opentapioca_ray.stages.pairs import CONTENT_CAP
+
+    files_df, _ = synthesize_files(
+        n_clusters=4, cluster_size=3, n_singletons=10, seed=5
+    )
+    body = " ".join(f"w{i % 997}x" for i in range(CONTENT_CAP // 4))
+    long_a = body[: CONTENT_CAP - 2] + "longtail more words here"
+    long_b = body[: CONTENT_CAP - 2] + "lo other tail"
+    cut = body[: CONTENT_CAP - 3] + " abcdefgh"  # a token spans the cut
+    extra = [
+        long_a, long_b, cut, cut + " extra", None, "",
+        "naïve café déjà vu smörgåsbord 日本語 テスト naïve café déjà",
+        "naïve café déjà vu smörgåsbord 日本語 テスト naïve café",
+    ]
+    n0 = len(files_df)
+    rows = pd.DataFrame(
+        {
+            "file_id": np.arange(n0, n0 + len(extra), dtype=np.int64),
+            "repo": [f"repo-extra-{i % 3}" for i in range(len(extra))],
+            "content": extra,
+        }
+    )
+    return pd.concat([files_df[["file_id", "repo", "content"]], rows], ignore_index=True)
+
+
+def _sorted_pairs(ds):
+    cols = ["left_id", "right_id", "capped", "nb_bands"]
+    return ds.to_pandas()[cols].astype("int64").sort_values(cols).reset_index(drop=True)
+
+
+def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
+    """The one-pass front yields the same idf, prior and driver pairs as
+    `corpus_stats` + `build_id_pairs(mode="driver")`, over several blocks
+    (one of them empty); also through `corpus_stats`' shuffle merge and
+    `build_id_pairs`' shuffle fallback, and with `idf`/`prior` passed in
+    (then no stats rows are emitted)."""
+    import pyarrow as pa
+    import ray.data
+
+    from opentapioca_ray.pipelines import linkage
+    from opentapioca_ray.pipelines.linkage import _front_pass, build_id_pairs
+
+    df = _front_corpus()
+    table = pa.Table.from_pandas(df, preserve_index=False)
+    blocks = [table.slice(0, 9), table.slice(9, 0), table.slice(9)]
+    files = ray.data.from_arrow(blocks).materialize()
+    args = (128, 32, 3, 4, 2)
+
+    idf, prior = corpus_stats(files)
+    expect = _sorted_pairs(build_id_pairs(files, *args, mode="driver"))
+    assert len(expect) > 0
+    front_idf, front_prior, pairs = _front_pass(files, None, None, *args)
+    assert front_idf == idf and list(front_idf) == list(idf)
+    assert front_prior == prior and list(front_prior) == list(prior)
+    pd.testing.assert_frame_equal(_sorted_pairs(pairs), expect)
+
+    given_idf, given_prior = {"w1x": 1.0}, {"r": 0.5}
+    got_idf, got_prior, pairs = _front_pass(files, given_idf, given_prior, *args)
+    assert got_idf is given_idf and got_prior is given_prior
+    pd.testing.assert_frame_equal(_sorted_pairs(pairs), expect)
+
+    monkeypatch.setattr(linkage, "_STATS_DRIVER_LIMIT", 0)
+    monkeypatch.setattr(linkage, "_DRIVER_PAIRS_LIMIT", 0)
+    shuffled_idf, shuffled_prior, pairs = _front_pass(files, None, None, *args)
+    assert shuffled_idf == idf and shuffled_prior == prior
+    pd.testing.assert_frame_equal(_sorted_pairs(pairs), expect)
+
+
+def test_front_batch_kernel_matches_separate_kernels():
+    """`front_batch` over one batch equals the separate kernels: its kind-2
+    rows are `blocking_batch`'s slim u64 rows (same order), its kind-0/1
+    rows the word df and repo-count partials; every batch, the empty one
+    included, carries the one front schema."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from opentapioca_ray.pipelines.linkage import _FRONT_SCHEMA, front_batch
+    from opentapioca_ray.stages.pairs import blocking_batch
+    from opentapioca_ray.state.bow import partial_word_counts
+
+    table = pa.Table.from_pandas(_front_corpus(), preserve_index=False)
+    for batch in (table, table.slice(0, 0), table.slice(len(table) - 8)):
+        out = front_batch(batch, 128, 32, 3, True)
+        assert out.schema == _FRONT_SCHEMA
+        band = out.filter(pc.equal(out.column("kind"), 2))
+        slim = blocking_batch(
+            batch, repo_column=None, bands=32, include_tokens=False, key_type="u64"
+        )
+        assert band.select(["block_key", "file_id", "sig_head"]).equals(slim)
+        words = partial_word_counts(batch, "content")
+        repos = pd.Series(batch.column("repo").to_pylist()).value_counts(sort=False)
+        stats = out.filter(pc.less(out.column("kind"), 2)).to_pydict()
+        assert stats["kind"] == [0] * words.num_rows + [1] * len(repos)
+        assert stats["key"] == words.column("word").to_pylist() + list(repos.index)
+        assert stats["count"] == words.column("count").to_pylist() + repos.tolist()
+        assert front_batch(batch, 128, 32, 3, False).equals(band)
+
+
+def test_driver_match_edges_equal_lazy(ray_session, corpus):
+    """The driver-side match edges equal the lazy `match_edges` map, row
+    for row, at two thresholds."""
+    import ray.data
+
+    from opentapioca_ray.pipelines.linkage import _driver_match_edges, match_edges
+
+    files_df, _ = corpus
+    _, scored = linkage_clusters(ray.data.from_pandas(files_df), model=None)
+    for threshold in (0.0, 0.2):
+        driver = _driver_match_edges(scored, threshold).to_pandas()
+        lazy = match_edges(scored, threshold).to_pandas()
+        assert len(lazy) > 0
+        pd.testing.assert_frame_equal(driver, lazy)
+
+
+def test_linkage_checkpointed_rebuilds_rewritten_input(ray_session, tmp_path):
+    """A documents.parquet rewritten at the same path with other rows
+    rebuilds the `files` stage instead of resuming from its checkpoint."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    from opentapioca_ray.pipelines.linkage import linkage_checkpointed
+
+    files_df, _ = synthesize_files(
+        n_clusters=5, cluster_size=3, n_singletons=20, seed=9
+    )
+    n = len(files_df)
+    docs = pa.table(
+        {
+            "doc_id": pa.array(files_df["file_id"], pa.int64()),
+            "text": pa.array(files_df["content"], pa.string()),
+            "lang": pa.array(["en"] * n, pa.string()),
+            "source": pa.array(["web"] * n, pa.string()),
+        }
+    )
+    src = tmp_path / "sf"
+    src.mkdir()
+    pq.write_table(docs, src / "documents.parquet")
+    out = str(tmp_path / "run")
+    _, ckpt = linkage_checkpointed(str(src), out, threshold=0.2)
+    assert ckpt.metrics()["files"]["rows"] == n
+    pq.write_table(docs.slice(0, 10), src / "documents.parquet")
+    _, ckpt = linkage_checkpointed(str(src), out, threshold=0.2)
+    assert ckpt.metrics()["files"]["rows"] == 10
 
 
 def test_build_id_pairs_driver_regime_matches_shuffle(ray_session, monkeypatch):

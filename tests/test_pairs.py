@@ -175,3 +175,18 @@ def test_blocking_repo_column_only_when_asked():
     assert slim.column_names == ["block_key", "file_id", "sig_head"]
     full = blocking_batch(batch, bands=4)
     assert full.column("repo").to_pylist() == ["r1"] * 4
+
+
+def test_token_prefix_lists_match_per_doc_slices():
+    """The vectorized prefix builder equals slicing each doc's tokens to
+    the cap, for empty docs, docs under, at and over the cap, and an empty
+    batch."""
+    from opentapioca_ray.functions.text import tokenize, tokenize_flat
+    from opentapioca_ray.stages.pairs import token_prefix_lists
+
+    texts = ["", "a b", "c d e f", "g h i j k l m", None, "n o p"]
+    for docs in (texts, []):
+        flat, counts = tokenize_flat(docs)
+        got = token_prefix_lists(flat, counts, 4)
+        assert got.type == pa.list_(pa.string())
+        assert got.to_pylist() == [tokenize(t or "")[:4] for t in docs]
