@@ -3,9 +3,11 @@
 
 documents -> TaggerStage (tasks or an actor pool; trie + BOW + pagerank
              broadcast)
-          -> one coarse exchange on hash(doc_id), then the partition
-             classify kernel (stages/classify.py) [similarity graph +
-             feature propagation + linear decision + argmax>0]
+          -> the classify kernel over whole documents
+             (stages/classify.py:per_document_apply) [similarity graph +
+             feature propagation + linear decision + argmax>0]: one
+             driver call for small tag sets, else one per partition of a
+             coarse exchange on hash(doc_id)
 
 plus the training path (classifier.py:94-219): tag once, build the design
 matrix distributed with the same kernel, collect the (small) matrix, fit,
@@ -27,6 +29,7 @@ from opentapioca_ray.stages.classify import (
     classify_partition_vectorized,
     design_rows_vectorized,
     evaluate_predictions,
+    per_document_apply,
 )
 from opentapioca_ray.stages.tagger import TaggerStage
 from opentapioca_ray.state.linear import LinearModel
@@ -107,22 +110,26 @@ def annotate(
 def build_design_matrix(
     tags_ds, gold: pd.DataFrame, params: ClassifierParams
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Distributed design-matrix build; returns (X, y, doc_hash) with
-    doc_hash for fold assignment. Each coarse partition runs the classify
-    kernel's feature build (`design_rows_vectorized`) and emits one
-    numeric column per feature; the rows (15 features at nb_steps=2) are
-    collected to the driver like the reference does."""
+    """Design-matrix build; returns (X, y, doc_hash) with doc_hash for
+    fold assignment. The classify kernel's feature build
+    (`design_rows_vectorized`) runs through `per_document_apply` (once on
+    the driver for small tag sets, else per coarse partition) and emits
+    one numeric column per feature; the rows (15 features at nb_steps=2)
+    are collected to the driver like the reference does."""
     import zlib
 
-    from opentapioca_ray.stages.exchange import arrow_blocks, coarse_group_apply
+    from opentapioca_ray.stages.exchange import arrow_blocks
 
     features = [f"f{i}" for i in range(5 * (params.nb_steps + 1))]
+    schema = pa.schema(
+        [(f, pa.float64()) for f in features] + [("doc_id", pa.string()), ("label", pa.int64())]
+    )
 
     def fn(df: pd.DataFrame) -> pd.DataFrame:
         docs, X, y = design_rows_vectorized(df, gold, params)
         return pd.DataFrame(X, columns=features).assign(doc_id=docs, label=y)
 
-    blocks = [t for t in arrow_blocks(coarse_group_apply(tags_ds, "doc_id", fn)) if t.num_rows]
+    blocks = [t for t in arrow_blocks(per_document_apply(tags_ds, fn, schema)) if t.num_rows]
     if not blocks:
         return np.zeros((0, len(features))), np.zeros(0), np.zeros(0)
     out = pa.concat_tables(blocks).to_pandas()

@@ -60,14 +60,15 @@ _STATS_SCHEMA = pa.schema(
 def _stats_partials(batch: pa.Table, flat, counts, repo_column: str) -> pa.Table:
     """One batch's tagged partial counts over its `tokenize_flat` stream of
     the full content: kind 0 = word document frequency, kind 1 = repo file
-    count (first-appearance order)."""
+    count (first-appearance order). A null repo is no key: its files count
+    in no repo's prior, as the shuffle merge's groupby drops null keys."""
     import pyarrow.compute as pc
 
     from opentapioca_ray.state.bow import word_counts_from_flat
 
     words = word_counts_from_flat(flat, counts)
     if repo_column in batch.column_names:
-        repos = pc.value_counts(batch.column(repo_column).cast(pa.string()))
+        repos = pc.value_counts(pc.drop_null(batch.column(repo_column).cast(pa.string())))
         repo_keys, repo_counts = repos.field("values"), repos.field("counts")
     else:
         repo_keys, repo_counts = pa.array([], pa.string()), pa.array([], pa.int64())

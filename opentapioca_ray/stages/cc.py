@@ -160,7 +160,8 @@ def connected_components(
     Scale-adaptive: when the edge set fits comfortably on one node
     (<= `local_threshold` edges) the edges are collected as numpy columns,
     labelled on the driver by the vectorized `_local_components` kernel
-    and returned as ONE Arrow block, nodes ascending — match edges are a
+    and returned as ONE materialized Arrow block, nodes ascending (a
+    collect of it runs no Ray Data execution) — match edges are a
     tiny fraction of input rows, so this is the common case even for huge
     corpora. Above the threshold it runs the large-star/small-star rounds,
     one coarse-partition exchange each (O(log n) rounds); stop when the
@@ -180,7 +181,8 @@ def connected_components(
             us.append(t.column("u").to_numpy(zero_copy_only=False).astype(np.int64))
             vs.append(t.column("v").to_numpy(zero_copy_only=False).astype(np.int64))
         nodes, roots = _local_components(np.concatenate(us), np.concatenate(vs))
-        # one block: `from_items` would build one block per row
+        # one block: `from_items` would build one block per row;
+        # materialized, so the caller's collect runs no execution
         return ray.data.from_arrow(
             pa.table(
                 {
@@ -188,7 +190,7 @@ def connected_components(
                     "component": pa.array(roots, pa.int64()),
                 }
             )
-        )
+        ).materialize()
 
     # every input node must appear in the output even if its edges are
     # self-loops (dropped by the star rounds) — union self-assignments in

@@ -4,12 +4,14 @@ Re-expression of the reference's `SimpleTagClassifier`
 (opentapioca/classifier.py:14-374). The within-document similarity graph,
 feature propagation `[F, AF, A²F, …]` hstack, linear decision function and
 argmax-with-positive-threshold winner are all LOCAL to one document, so
-the Ray shape is one coarse exchange on hash(doc_id) followed by
-`classify_partition_vectorized`: a columnar kernel that handles every
-document of a partition at once, for every `nb_steps` (graph edges from a
+the Ray shape is `per_document_apply`: whole documents go to
+`classify_partition_vectorized`, a columnar kernel that handles many
+documents at once, for every `nb_steps` (graph edges from a
 sorted-interval join, similarities as set algebra on edge arrays,
-propagation as a segment sum). Training collects the (small) design
-matrix to the driver exactly like the reference does.
+propagation as a segment sum). Small tag sets run it once on the driver;
+larger ones run it per partition of a coarse exchange on hash(doc_id).
+Training collects the (small) design matrix to the driver exactly like
+the reference does.
 
 `mentions_from_rows` -> `compute_similarities` -> `classify_mentions`
 (and `doc_design_matrix`) are the per-document dataclass path, kept as
@@ -240,7 +242,19 @@ def doc_design_matrix(
 # Partition kernel (every nb_steps) and its Ray Data wrappers
 # ---------------------------------------------------------------------------
 
-RESULT_COLUMNS = ["doc_id", "start", "end", "phrase", "qid", "score", "is_best", "best_qid"]
+RESULT_SCHEMA = pa.schema(
+    [
+        ("doc_id", pa.string()),
+        ("start", pa.int64()),
+        ("end", pa.int64()),
+        ("phrase", pa.string()),
+        ("qid", pa.string()),
+        ("score", pa.float64()),
+        ("is_best", pa.bool_()),
+        ("best_qid", pa.string()),
+    ]
+)
+RESULT_COLUMNS = RESULT_SCHEMA.names
 
 
 class PartitionRows(NamedTuple):
@@ -456,21 +470,62 @@ def design_rows_vectorized(
     return rows.doc, rows.X, y
 
 
-def classify_dataset(tags_ds, model: LinearModel, params: ClassifierParams):
-    """tags Dataset -> per-tag scores + per-mention winners. The model ships
-    as a plain dict inside the closure (small). ONE coarse-partition
-    exchange on hash(doc_id) % P (stages/exchange.py) puts whole documents
-    in one partition, and `classify_partition_vectorized` classifies all
-    of them at once: no per-document Python loop, no Ray-level per-doc
-    `map_groups`."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply
+# Tag rows up to which `per_document_apply` runs its kernel once on the
+# driver: below it the kernel (~6-9 us per row on 1 CPU) costs less than
+# the doc_id exchange's fixed ~0.07 s, so the driver regime wins at any
+# CPU count (crossover measurement in BASELINE.md, "Classify regimes").
+_DRIVER_CLASSIFY_LIMIT = 10_000
 
+
+def per_document_apply(tags_ds, partition_fn, schema: pa.Schema):
+    """Run `partition_fn` (a pandas frame of whole documents' tag rows ->
+    a pandas frame) over every document of `tags_ds`; every block of the
+    returned Dataset that has columns is an Arrow table with `schema`.
+
+    The tags are materialized first, so their `count()` runs no further
+    execution. Up to `_DRIVER_CLASSIFY_LIMIT` rows the blocks are
+    concatenated on the driver, `partition_fn` runs ONCE over all of them
+    and the result is ONE materialized `from_arrow` block: collecting it
+    runs no execution. Above, a coarse exchange on hash(doc_id) % P
+    (stages/exchange.py) puts whole documents in one partition and
+    `partition_fn` runs per partition."""
+    import ray.data
+
+    from opentapioca_ray.stages.exchange import arrow_blocks, coarse_group_apply
+
+    def typed(df: pd.DataFrame) -> pa.Table:
+        # no pandas metadata: Ray Data hashes block schemas to unify them
+        out = pa.Table.from_pandas(partition_fn(df), schema=schema, preserve_index=False)
+        return out.replace_schema_metadata()
+
+    tags_ds = tags_ds.materialize()
+    if tags_ds.count() > _DRIVER_CLASSIFY_LIMIT:
+        return coarse_group_apply(tags_ds, "doc_id", typed)
+    blocks = [t for t in arrow_blocks(tags_ds) if t.num_rows]
+    out = (
+        typed(pa.concat_tables(blocks, promote_options="permissive").to_pandas())
+        if blocks
+        else schema.empty_table()
+    )
+    return ray.data.from_arrow(out).materialize()
+
+
+def classify_dataset(tags_ds, model: LinearModel, params: ClassifierParams):
+    """tags Dataset -> per-tag scores + per-mention winners (`RESULT_SCHEMA`),
+    through `per_document_apply`. Up to `_DRIVER_CLASSIFY_LIMIT` tag rows
+    `classify_partition_vectorized` classifies every document in one call
+    on the driver and the result is one materialized block; above, the
+    model ships as a plain dict inside the closure (small), one coarse
+    exchange on hash(doc_id) puts whole documents in one partition, and
+    the kernel classifies each partition's documents at once. Neither
+    regime has a per-document Python loop or a Ray-level per-doc
+    `map_groups`."""
     model_dict = model.to_dict()
 
     def partition_fn(df: pd.DataFrame) -> pd.DataFrame:
         return classify_partition_vectorized(df, LinearModel.from_dict(model_dict), params)
 
-    return coarse_group_apply(tags_ds, "doc_id", partition_fn)
+    return per_document_apply(tags_ds, partition_fn, RESULT_SCHEMA)
 
 
 def evaluate_predictions(pred_best: pd.DataFrame, gold: pd.DataFrame) -> dict:

@@ -84,7 +84,10 @@ class LinearModel:
 
     def decision_function(self, X) -> np.ndarray:
         Xs = self.scaler.transform(np.asarray(X, dtype=np.float64))
-        return Xs @ self.w + self.b
+        # a row-wise sum, not `Xs @ w`: BLAS rounds a row's dot product
+        # by the row's position in X, so a score would depend on which
+        # rows share its batch
+        return (Xs * self.w).sum(axis=1) + self.b
 
     def predict(self, X) -> np.ndarray:
         return (self.decision_function(X) > 0).astype(np.int64)

@@ -222,9 +222,12 @@ def _fixed_model(nb_steps: int) -> LinearModel:
 
 
 def test_annotate_and_collect_run_once(ray_session, ray_execs):
-    """Tagging, the classify exchange and the collect of the result are
-    one Ray Data execution, whether the input is `annotate`'s documents
-    or lazy tags handed to `classify_dataset`."""
+    """Tagging, classifying and collecting the result are one Ray Data
+    execution, whether the input is `annotate`'s documents or lazy tags
+    handed to `classify_dataset`: below `_DRIVER_CLASSIFY_LIMIT` tag rows
+    classify materializes the tags (the one execution), runs its kernel
+    on the driver and returns one materialized block. Over tags that are
+    already materialized, classify plus the collect run none."""
     import ray.data
 
     from opentapioca_ray.stages.classify import classify_dataset
@@ -245,6 +248,113 @@ def test_annotate_and_collect_run_once(ray_session, ray_execs):
     classified = list(arrow_blocks(classify_dataset(lazy_tags, model, params)))
     assert ray_execs() - start == 1
 
-    n_tags = tag_documents(docs_ds, entities(), bow, pr).count()
+    tags = tag_documents(docs_ds, entities(), bow, pr).materialize()
+    start = ray_execs()
+    from_materialized = list(arrow_blocks(classify_dataset(tags, model, params)))
+    assert ray_execs() - start == 0
+
+    n_tags = tags.count()
     assert sum(t.num_rows for t in annotated) == n_tags
     assert sum(t.num_rows for t in classified) == n_tags
+    assert sum(t.num_rows for t in from_materialized) == n_tags
+
+
+def _classified(tags, model, params) -> pa.Table:
+    """`classify_dataset`'s blocks, each checked against the fixed result
+    schema, concatenated in (doc_id, start, end, qid) order. The exchange
+    may add empty blocks without columns (Ray Data's shuffle output)."""
+    from opentapioca_ray.stages.classify import RESULT_SCHEMA, classify_dataset
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    blocks = [t for t in arrow_blocks(classify_dataset(tags, model, params)) if t.num_columns]
+    assert blocks and all(t.schema.equals(RESULT_SCHEMA) for t in blocks)
+    key = [(c, "ascending") for c in ("doc_id", "start", "end", "qid")]
+    return pa.concat_tables(blocks).sort_by(key)
+
+
+def _both_regimes(monkeypatch, run):
+    """`run()` at the default classify limit, then with the limit at 0
+    (the doc_id exchange for any non-empty tags)."""
+    from opentapioca_ray.stages import classify
+
+    driver = run()
+    with monkeypatch.context() as m:
+        m.setattr(classify, "_DRIVER_CLASSIFY_LIMIT", 0)
+        return driver, run()
+
+
+@pytest.mark.parametrize("nb_steps", [0, 2])
+def test_classify_regimes_agree(ray_session, monkeypatch, ray_execs, nb_steps):
+    """The driver regime and the doc_id exchange give the same rows, the
+    same Arrow schema and the same design matrix; the driver regime's
+    result is one block whose collect runs no execution, the exchange's
+    collect runs one."""
+    import ray.data
+
+    from opentapioca_ray.pipelines.annotate import build_design_matrix
+
+    docs, gold = corpus()
+    bow, pr = bow_and_pagerank()
+    tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr).materialize()
+    params = ClassifierParams(nb_steps=nb_steps)
+    model = _fixed_model(nb_steps)
+
+    def classify_counted():
+        start = ray_execs()
+        out = _classified(tags, model, params)
+        return out, ray_execs() - start
+
+    (driver, driver_execs), (shuffle, shuffle_execs) = _both_regimes(
+        monkeypatch, classify_counted
+    )
+    assert (driver_execs, shuffle_execs) == (0, 1)
+    assert driver.num_rows == tags.count() and driver.equals(shuffle)
+    assert driver.column("best_qid").null_count < driver.num_rows  # some mention won
+
+    def design():
+        X, y, doc_hash = build_design_matrix(tags, gold, params)
+        return sorted(zip(map(tuple, X), y.tolist(), doc_hash.tolist()))
+
+    driver_rows, shuffle_rows = _both_regimes(monkeypatch, design)
+    assert len(driver_rows) == tags.count() and driver_rows == shuffle_rows
+
+
+def test_classify_edge_cases_keep_schema(ray_session, monkeypatch):
+    """Empty tags give one empty block with the fixed result schema (and
+    an empty design matrix); with no winning mention `best_qid` stays a
+    null string column; a document whose rows arrive in two input blocks
+    is classified as one, in both regimes."""
+    import ray.data
+
+    from opentapioca_ray.pipelines.annotate import build_design_matrix
+    from opentapioca_ray.stages.classify import RESULT_COLUMNS
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    docs, gold = corpus()
+    bow, pr = bow_and_pagerank()
+    params = ClassifierParams(nb_steps=1)
+    model = _fixed_model(params.nb_steps)
+
+    quiet = [{"doc_id": "d5", "text": "nothing relevant here"}]
+    empty = tag_documents(ray.data.from_items(quiet), entities(), bow, pr).materialize()
+    assert empty.count() == 0
+    result = _classified(empty, model, params)
+    assert result.num_rows == 0 and result.column_names == RESULT_COLUMNS
+    X, y, doc_hash = build_design_matrix(empty, gold, params)
+    assert X.shape == (0, 10) and len(y) == len(doc_hash) == 0
+
+    tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr).materialize()
+    strict = ClassifierParams(nb_steps=1, score_threshold=np.inf)
+    for none_won in _both_regimes(monkeypatch, lambda: _classified(tags, model, strict)):
+        assert none_won.num_rows == tags.count()
+        assert none_won.schema.field("best_qid").type == pa.string()
+        assert none_won.column("best_qid").null_count == none_won.num_rows
+
+    table = pa.concat_tables([t for t in arrow_blocks(tags) if t.num_rows]).sort_by("doc_id")
+    d1 = np.flatnonzero(table.column("doc_id").to_numpy(zero_copy_only=False) == "d1")
+    assert len(d1) >= 3
+    cut = int(d1[0]) + 1
+    split = ray.data.from_arrow([table.slice(0, cut), table.slice(cut)]).materialize()
+    whole = _classified(tags, model, params)
+    for got in _both_regimes(monkeypatch, lambda: _classified(split, model, params)):
+        assert got.equals(whole)

@@ -146,8 +146,8 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
       3. linkage_clusters: the scored pairs (materialize); the match edges
          are filtered on the driver off those blocks, and the local
          connected-components regime returns its labels as one
-         `from_arrow` block
-      4. the caller's collect of the clusters
+         materialized `from_arrow` block, so the caller's collect of the
+         clusters runs no execution
     A collect that also fetches the dataset schema (`to_arrow_refs`)
     re-runs a lazy plan and adds an execution to 2."""
     import ray.data
@@ -159,7 +159,7 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
     start = ray_execs()
     clusters, _ = linkage_clusters(files_ds, model=None, threshold=0.2)
     nodes = sum(t.num_rows for t in arrow_blocks(clusters))
-    assert ray_execs() - start == 4
+    assert ray_execs() - start == 3
     assert nodes > 0
 
 
@@ -233,6 +233,26 @@ def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
     shuffled_idf, shuffled_prior, pairs = _front_pass(files, None, None, *args)
     assert shuffled_idf == idf and shuffled_prior == prior
     pd.testing.assert_frame_equal(_sorted_pairs(pairs), expect)
+
+
+def test_null_repo_stats_agree(ray_session):
+    """A file with a null repo counts toward the idf but toward no repo's
+    prior, and the driver merge, the shuffle merge and the linkage front
+    give the same idf and prior."""
+    import ray.data
+
+    from opentapioca_ray.pipelines.linkage import _front_pass
+
+    df = _front_corpus()
+    df.loc[3, "repo"] = None
+    files = ray.data.from_pandas(df).materialize()
+    idf, prior = corpus_stats(files, mode="driver")
+    assert (idf, prior) == corpus_stats(files, mode="shuffle")
+    assert (idf, prior) == _front_pass(files, None, None, 128, 32, 3, 4, 2)[:2]
+    logs = np.log1p(df["repo"].value_counts())
+    assert prior == pytest.approx((logs / logs.max()).to_dict())
+    named = ray.data.from_pandas(df.fillna({"repo": "named"}))
+    assert idf == corpus_stats(named)[0]
 
 
 def test_front_batch_kernel_matches_separate_kernels():
