@@ -66,23 +66,31 @@ def tokenize(phrase: str) -> list[str]:
     return [w for w in words if w]
 
 
-def tokenize_flat(texts: list[str]) -> tuple:
-    """`tokenize` over a whole batch, flat form: returns
-    `(tokens: np.ndarray[object], counts: np.ndarray[int64])` where
-    `tokens[counts[:i].sum() : counts[:i+1].sum()]` are doc i's tokens.
+def tokenize_codes(texts: list[str]) -> tuple:
+    """`tokenize` over a whole batch as one dictionary-coded token stream:
+    returns `(codes: np.ndarray[int], vocab: np.ndarray[object], counts:
+    np.ndarray[int64])` where `vocab[codes]` is the batch's tokens in order,
+    `counts[i]` of them doc i's, and `vocab` holds each distinct token once,
+    in first-appearance order.
 
-    Byte-identical to per-doc `tokenize` (pinned by tests — the BOW oracle
-    and every blocking key depend on it), but the split/trim/filter run as
-    Arrow kernels with `ascii_fold` only touching the rare non-ASCII token.
-    The flat layout is exactly what the batched shingle hasher consumes, so
-    hot callers skip building per-doc Python lists entirely."""
+    The split/trim/filter and the dictionary encode run as Arrow kernels;
+    `ascii_fold` touches only the non-ASCII vocabulary entries, after which
+    the folded vocabulary is re-factorized (a token may fold into another
+    one) and tokens that fold to "" are dropped. Callers that only hash or
+    count tokens work on the codes and never build a Python string per
+    token."""
     import numpy as np
+    import pandas as pd
     import pyarrow as pa
     import pyarrow.compute as pc
 
     n = len(texts)
     if n == 0:
-        return np.empty(0, dtype=object), np.zeros(0, dtype=np.int64)
+        return (
+            np.zeros(0, dtype=np.int64),
+            np.empty(0, dtype=object),
+            np.zeros(0, dtype=np.int64),
+        )
     arr = pa.array([" " + (t or "") + " " for t in texts], type=pa.string())
     parts = pc.split_pattern_regex(arr, pattern=_SEPARATOR_RE.pattern)
     flat = pc.utf8_trim_whitespace(parts.values)
@@ -92,23 +100,40 @@ def tokenize_flat(texts: list[str]) -> tuple:
     cum = np.zeros(len(keep_np) + 1, dtype=np.int64)
     np.cumsum(keep_np, out=cum[1:])
     counts = cum[offs[1:]] - cum[offs[:-1]]
-    flat = flat.filter(keep)
-    toks = flat.to_numpy(zero_copy_only=False)
-    ascii_mask = pc.string_is_ascii(flat).to_numpy(zero_copy_only=False)
+    enc = pc.dictionary_encode(flat.filter(keep))
+    codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
+    vocab = enc.dictionary.to_numpy(zero_copy_only=False)
+    ascii_mask = pc.string_is_ascii(enc.dictionary).to_numpy(zero_copy_only=False)
     if not ascii_mask.all():
-        idx = np.nonzero(~ascii_mask)[0]
-        folded = np.array([ascii_fold(t) for t in toks[idx]], dtype=object)
-        toks = toks.copy()
-        toks[idx] = folded
-        empty = folded == ""
-        if empty.any():
-            drop_idx = idx[empty]
-            doc_of = np.searchsorted(np.cumsum(counts), drop_idx, side="right")
-            np.subtract.at(counts, doc_of, 1)
-            keep2 = np.ones(len(toks), dtype=bool)
-            keep2[drop_idx] = False
-            toks = toks[keep2]
-    return toks, counts
+        vocab = vocab.copy()
+        idx = np.flatnonzero(~ascii_mask)
+        vocab[idx] = [ascii_fold(t) for t in vocab[idx]]
+        remap, vocab = pd.factorize(vocab)
+        vocab = np.asarray(vocab, dtype=object)
+        codes = remap[codes]
+        empty = np.flatnonzero(vocab == "")
+        if len(empty):
+            e = int(empty[0])
+            kept = codes != e
+            doc_of = np.repeat(np.arange(n, dtype=np.int64), counts)
+            counts = np.bincount(doc_of[kept], minlength=n).astype(np.int64)
+            codes = codes[kept]
+            codes -= codes > e
+            vocab = np.delete(vocab, e)
+    return codes, vocab, counts
+
+
+def tokenize_flat(texts: list[str]) -> tuple:
+    """`tokenize` over a whole batch, flat form: returns
+    `(tokens: np.ndarray[object], counts: np.ndarray[int64])` where
+    `tokens[counts[:i].sum() : counts[:i+1].sum()]` are doc i's tokens.
+
+    Byte-identical to per-doc `tokenize` (pinned by tests — the BOW oracle
+    and every blocking key depend on it): `tokenize_codes`' stream with
+    each code replaced by its vocabulary entry, so equal tokens share one
+    Python string."""
+    codes, vocab, counts = tokenize_codes(texts)
+    return vocab[codes], counts
 
 
 # --- Analyzer chain for the tagging index / blocking keys

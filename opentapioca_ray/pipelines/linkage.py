@@ -57,16 +57,16 @@ _STATS_SCHEMA = pa.schema(
 )
 
 
-def _stats_partials(batch: pa.Table, flat, counts, repo_column: str) -> pa.Table:
-    """One batch's tagged partial counts over its `tokenize_flat` stream of
+def _stats_partials(batch: pa.Table, codes, vocab, counts, repo_column: str) -> pa.Table:
+    """One batch's tagged partial counts over its `tokenize_codes` stream of
     the full content: kind 0 = word document frequency, kind 1 = repo file
     count (first-appearance order). A null repo is no key: its files count
     in no repo's prior, as the shuffle merge's groupby drops null keys."""
     import pyarrow.compute as pc
 
-    from opentapioca_ray.state.bow import word_counts_from_flat
+    from opentapioca_ray.state.bow import word_counts_from_codes
 
-    words = word_counts_from_flat(flat, counts)
+    words = word_counts_from_codes(codes, vocab, counts)
     if repo_column in batch.column_names:
         repos = pc.value_counts(pc.drop_null(batch.column(repo_column).cast(pa.string())))
         repo_keys, repo_counts = repos.field("values"), repos.field("counts")
@@ -166,13 +166,13 @@ def corpus_stats(
     distributed groupby(kind, key).sum runs first and only the
     (vocab-bounded) aggregated rows come back to build the broadcast
     dicts."""
-    from opentapioca_ray.functions.text import tokenize_flat
+    from opentapioca_ray.functions.text import tokenize_codes
 
     n_docs = files_ds.count()
 
     def partial(batch: pa.Table) -> pa.Table:
-        flat, counts = tokenize_flat(batch.column(text_column).to_pylist())
-        return _stats_partials(batch, flat, counts, repo_column)
+        codes, vocab, counts = tokenize_codes(batch.column(text_column).to_pylist())
+        return _stats_partials(batch, codes, vocab, counts, repo_column)
 
     parts = files_ds.map_batches(partial, batch_format="pyarrow")
     if mode == "auto":
@@ -447,28 +447,31 @@ def front_batch(
 ) -> pa.Table:
     """The linkage front's kernel: `corpus_stats`' partials (kind 0/1, only
     `with_stats`) plus `build_id_pairs`' slim u64 band rows (kind 2) from
-    ONE `tokenize_flat` pass over the full content. Blocking reads
+    ONE `tokenize_codes` pass over the full content, whose token hashes
+    (each distinct token hashed once) feed the blocking. Blocking reads
     `content[:CONTENT_CAP]`, whose tokens are the full stream's unless the
     file is longer (the cut can fall mid-token): only those files are
-    re-tokenized on their prefix and spliced into the stream."""
-    from opentapioca_ray.functions.text import tokenize_flat
+    re-tokenized on their prefix and spliced into the hash stream."""
+    from opentapioca_ray.functions.minhash import token_hashes
+    from opentapioca_ray.functions.text import tokenize_codes
     from opentapioca_ray.stages.pairs import CONTENT_CAP, band_columns, gather_index
 
     texts = batch.column("content").to_pylist()
-    flat, counts = tokenize_flat(texts)
+    codes, vocab, counts = tokenize_codes(texts)
     parts = []
     if with_stats:
-        parts.append(_front_rows(_stats_partials(batch, flat, counts, "repo")))
+        parts.append(_front_rows(_stats_partials(batch, codes, vocab, counts, "repo")))
+    th = token_hashes(codes, vocab)
     long = [i for i, t in enumerate(texts) if t is not None and len(t) > CONTENT_CAP]
     if long:
-        pflat, pcounts = tokenize_flat([texts[i][:CONTENT_CAP] for i in long])
+        pcodes, pvocab, pcounts = tokenize_codes([texts[i][:CONTENT_CAP] for i in long])
         starts = np.cumsum(counts) - counts
-        starts[long] = len(flat) + np.cumsum(pcounts) - pcounts
+        starts[long] = len(th) + np.cumsum(pcounts) - pcounts
         counts = counts.copy()
         counts[long] = pcounts
-        flat = np.concatenate([flat, pflat])[gather_index(starts, counts)]
+        th = np.concatenate([th, token_hashes(pcodes, pvocab)])[gather_index(starts, counts)]
     ids = batch.column("file_id").to_numpy(zero_copy_only=False)
-    band = pa.table(band_columns(ids, flat, counts, num_perm, bands, shingle_k))
+    band = pa.table(band_columns(ids, th, counts, num_perm, bands, shingle_k))
     kind = pa.array(np.full(band.num_rows, _BAND_KIND, dtype=np.int8))
     parts.append(_front_rows(band.append_column("kind", kind)))
     return pa.concat_tables(parts)

@@ -257,13 +257,13 @@ def simhash_batch(
     hamming distance 3 shares at least one band by pigeonhole)."""
     ids = batch.column(id_column).to_pylist()
     texts = batch.column(text_column).to_pylist()
-    from opentapioca_ray.functions.minhash import shingle_hashes_from_flat
-    from opentapioca_ray.functions.text import tokenize_flat
+    from opentapioca_ray.functions.minhash import shingle_stream, token_hashes
+    from opentapioca_ray.functions.text import tokenize_codes
 
-    flat, counts = tokenize_flat([(text or "")[:CONTENT_CAP] for text in texts])
-    hash_lists = shingle_hashes_from_flat(flat, counts, shingle_k)
+    codes, vocab, counts = tokenize_codes([(text or "")[:CONTENT_CAP] for text in texts])
+    sh, sh_counts = shingle_stream(token_hashes(codes, vocab), counts, shingle_k)
     out_id, out_sim, out_band = [], [], []
-    for fid, hashes in zip(ids, hash_lists):
+    for fid, hashes in zip(ids, np.split(sh, np.cumsum(sh_counts)[:-1])):
         h = simhash(hashes)
         for band in range(4):
             chunk = (h >> (band * 16)) & 0xFFFF

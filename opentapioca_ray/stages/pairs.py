@@ -61,25 +61,26 @@ def token_prefix_lists(flat_tokens: np.ndarray, counts: np.ndarray, cap: int) ->
 
 def band_columns(
     ids: np.ndarray,
-    flat_tokens: np.ndarray,
+    th: np.ndarray,
     counts: np.ndarray,
     num_perm: int,
     bands: int,
     shingle_k: int,
     key_type: str = "u64",
 ) -> dict:
-    """The MinHash-LSH band rows of already-tokenized docs: token shingles
-    -> MinHash signature -> `bands` keys per doc, file-major. Returns the
-    columns block_key, file_id and sig_head (the signature's first value,
-    the within-block order of `block_pairs`)."""
+    """The MinHash-LSH band rows of already-tokenized docs, from their
+    token-hash stream `th` (`counts[i]` hashes per doc,
+    `functions/minhash.token_hashes`): token shingles -> MinHash signature
+    -> `bands` keys per doc, file-major. Returns the columns block_key,
+    file_id and sig_head (the signature's first value, the within-block
+    order of `block_pairs`)."""
     from opentapioca_ray.functions.minhash import (
         band_keys_u64_batch,
-        minhash_signature_batch,
-        shingle_hashes_from_flat,
+        minhash_stream,
+        shingle_stream,
     )
 
-    hash_lists = shingle_hashes_from_flat(flat_tokens, counts, shingle_k)
-    sigs = minhash_signature_batch(hash_lists, num_perm)  # (n, num_perm)
+    sigs = minhash_stream(*shingle_stream(th, counts, shingle_k), num_perm)
     if key_type == "u64":
         key_arr = pa.array(
             band_keys_u64_batch(sigs, bands).reshape(-1), type=pa.int64()
@@ -111,21 +112,24 @@ def blocking_batch(
 ) -> pa.Table:
     """files batch -> (block_key, file_id[, repo], sig_head[, tokens]) rows.
 
-    The first `CONTENT_CAP` characters of each file are tokenized once and
-    feed `band_columns`. The `repo` column is emitted only when
-    `repo_column` is set ("" for a batch without that column).
-    `include_tokens=False` is the slim/scale path: the block shuffle then
-    moves only (key, id, sig) per row — O(bytes) per band instead of
-    O(TOKENS_CAP); token payloads are attached to the (far fewer) surviving
-    candidate pairs afterwards (pipelines/linkage.py)."""
-    from opentapioca_ray.functions.text import tokenize_flat
+    The first `CONTENT_CAP` characters of each file are tokenized once
+    (`tokenize_codes`) and their token hashes feed `band_columns`. The
+    `repo` column is emitted only when `repo_column` is set ("" for a batch
+    without that column). `include_tokens=False` is the slim/scale path:
+    the block shuffle then moves only (key, id, sig) per row — O(bytes) per
+    band instead of O(TOKENS_CAP); token payloads are attached to the (far
+    fewer) surviving candidate pairs afterwards (pipelines/linkage.py)."""
+    from opentapioca_ray.functions.minhash import token_hashes
+    from opentapioca_ray.functions.text import tokenize_codes
 
     ids = batch.column(id_column).to_pylist()
     texts = batch.column(text_column).to_pylist()
-    flat_tokens, counts = tokenize_flat([(text or "")[:CONTENT_CAP] for text in texts])
+    codes, vocab, counts = tokenize_codes([(text or "")[:CONTENT_CAP] for text in texts])
     n = len(ids)
     out = pa.table(
-        band_columns(ids, flat_tokens, counts, num_perm, bands, shingle_k, key_type)
+        band_columns(
+            ids, token_hashes(codes, vocab), counts, num_perm, bands, shingle_k, key_type
+        )
     )
     if repo_column:
         repos = (
@@ -139,7 +143,7 @@ def blocking_batch(
     if include_tokens:
         # per-doc token prefix as ONE Arrow list array (no per-band Python
         # sublists), band-replicated with a C-level take
-        per_doc = token_prefix_lists(flat_tokens, counts, TOKENS_CAP)
+        per_doc = token_prefix_lists(vocab[codes], counts, TOKENS_CAP)
         out = out.append_column(
             "tokens", per_doc.take(pa.array(np.repeat(np.arange(n), bands)))
         )
@@ -351,37 +355,61 @@ FEATURE_NAMES = [
 ]
 
 
-def _edit_sim_codes(an: np.ndarray, bn: np.ndarray, cap: int = 48) -> float:
-    """Token-level Levenshtein over int-code arrays, normalized to [0,1]
-    similarity (1 = identical). The DP row is numpy-vectorized:
-    substitution/insertion terms elementwise, then the left-to-right
-    deletion dependency resolved with the prefix-min identity
-    cur[j] = min_k<=j (m[k] + (j - k)) via minimum.accumulate — O(la) numpy
-    passes instead of la*lb Python steps."""
-    an, bn = an[:cap], bn[:cap]
-    la, lb = len(an), len(bn)
-    if la == 0 and lb == 0:
-        return 1.0
-    if la == 0 or lb == 0:
-        return 0.0
-    idx = np.arange(lb + 1, dtype=np.int64)
-    prev = idx.copy()
-    for i in range(1, la + 1):
-        cost = (bn != an[i - 1]).astype(np.int64)
-        m = np.empty(lb + 1, dtype=np.int64)
-        m[0] = i
-        np.minimum(prev[1:] + 1, prev[:-1] + cost, out=m[1:])
-        prev = np.minimum.accumulate(m - idx) + idx
-    return 1.0 - int(prev[lb]) / max(la, lb)
+def edit_similarity_batch(
+    codes_a: np.ndarray,
+    lens_a: np.ndarray,
+    codes_b: np.ndarray,
+    lens_b: np.ndarray,
+    cap: int = 48,
+) -> np.ndarray:
+    """Token-level Levenshtein similarity of n pairs of int-code sequences
+    (pair i: the next `lens_a[i]` codes of `codes_a` against the next
+    `lens_b[i]` of `codes_b`), each cut to its first `cap` tokens and
+    normalized to [0, 1] (1 = identical, two empty sides included).
+
+    ONE DP over all pairs: row i of every pair's table is computed at once
+    over an (n, max_lb + 1) matrix, the substitution/insertion terms
+    elementwise and the left-to-right deletion dependency by the prefix-min
+    identity cur[j] = min_k<=j (m[k] + (j - k)) (`minimum.accumulate`).
+    A table cell depends only on cells above and to its left, so each
+    pair reads its distance at its own (la, lb) whatever the other pairs'
+    lengths: max_la numpy row steps for the batch instead of la per pair."""
+    lens_a = np.asarray(lens_a, dtype=np.int64)
+    lens_b = np.asarray(lens_b, dtype=np.int64)
+    n = len(lens_a)
+    la, lb = np.minimum(lens_a, cap), np.minimum(lens_b, cap)
+
+    def padded(codes, lens, cut):
+        # first `cut[i]` codes of each pair's segment, -1 beyond
+        out = np.full((n, int(cut.max(initial=0))), -1, dtype=np.int64)
+        starts = np.cumsum(lens) - lens
+        src = gather_index(starts, cut)
+        out[np.repeat(np.arange(n), cut), src - np.repeat(starts, cut)] = np.asarray(codes)[src]
+        return out
+
+    A, B = padded(codes_a, lens_a, la), padded(codes_b, lens_b, lb)
+    idx = np.arange(B.shape[1] + 1, dtype=np.int64)
+    prev = np.broadcast_to(idx, (n, len(idx))).copy()
+    dist = lb.copy()  # la == 0: the distance is lb
+    m = np.empty_like(prev)
+    for i in range(1, int(la.max(initial=0)) + 1):
+        cost = (B != A[:, i - 1 : i]).astype(np.int64)
+        m[:, 0] = i
+        np.minimum(prev[:, 1:] + 1, prev[:, :-1] + cost, out=m[:, 1:])
+        prev = np.minimum.accumulate(m - idx, axis=1) + idx
+        done = np.flatnonzero(la == i)
+        dist[done] = prev[done, lb[done]]
+    longest = np.maximum(la, lb)
+    return np.where(longest > 0, 1.0 - dist / np.maximum(longest, 1), 1.0)
 
 
 def bounded_edit_distance(a: list[str], b: list[str], cap: int = 48) -> float:
-    """String-list wrapper over `_edit_sim_codes` (encoding preserves
-    equality, which is all Levenshtein sees)."""
+    """One pair of token lists through `edit_similarity_batch` (encoding
+    preserves equality, which is all Levenshtein sees)."""
     codes: dict[str, int] = {}
     an = np.array([codes.setdefault(t, len(codes)) for t in a[:cap]], dtype=np.int64)
     bn = np.array([codes.setdefault(t, len(codes)) for t in b[:cap]], dtype=np.int64)
-    return _edit_sim_codes(an, bn, cap)
+    return float(edit_similarity_batch(an, [len(an)], bn, [len(bn)], cap)[0])
 
 
 class PairFeaturizer:
@@ -467,8 +495,8 @@ class PairFeaturizer:
     ) -> np.ndarray:
         """Feature matrix (n, 5) for a batch of pairs. Tokens are
         dictionary-encoded ONCE per batch; Jaccard/TF-IDF-cosine/bigram run
-        as segment-vectorized numpy over the int codes; only the edit DP
-        (inherently sequential) loops per pair — on int codes."""
+        as segment-vectorized numpy over the int codes, and the edit DP as
+        one `edit_similarity_batch` over all pairs."""
         import pyarrow.compute as pc
 
         n = len(left_repos)
@@ -530,19 +558,9 @@ class PairFeaturizer:
             dpA, dcA, np.zeros(len(dcA)), dpB, dcB, np.zeros(len(dcB)), n
         )
 
-        lensA = np.bincount(pidA, minlength=n)
-        lensB = np.bincount(pidB, minlength=n)
-        offA = np.concatenate(([0], np.cumsum(lensA)))
-        offB = np.concatenate(([0], np.cumsum(lensB)))
-        sA = codesA[np.argsort(pidA, kind="stable")]
-        sB = codesB[np.argsort(pidB, kind="stable")]
-        edit = np.fromiter(
-            (
-                _edit_sim_codes(sA[offA[i] : offA[i + 1]], sB[offB[i] : offB[i + 1]])
-                for i in range(n)
-            ),
-            dtype=np.float64,
-            count=n,
+        # pidA/pidB are non-decreasing, so the code streams are pair-major
+        edit = edit_similarity_batch(
+            codesA, np.bincount(pidA, minlength=n), codesB, np.bincount(pidB, minlength=n)
         )
 
         def prior_arr(repos):

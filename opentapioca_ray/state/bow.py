@@ -97,31 +97,29 @@ class BOWLanguageModel:
 def partial_word_counts(batch: pa.Table, text_column: str) -> pa.Table:
     """Combiner: count distinct-per-row words inside the batch BEFORE the
     shuffle, so the groupby moves (word, partial_count) not raw tokens."""
-    from opentapioca_ray.functions.text import tokenize_flat
+    from opentapioca_ray.functions.text import tokenize_codes
 
-    return word_counts_from_flat(*tokenize_flat(batch.column(text_column).to_pylist()))
+    return word_counts_from_codes(*tokenize_codes(batch.column(text_column).to_pylist()))
 
 
-def word_counts_from_flat(flat, counts) -> pa.Table:
-    """`partial_word_counts` of an already-tokenized batch (`tokenize_flat`'s
-    `(flat, counts)`): (word, count) rows, count = the number of rows the
-    word occurs in. Tokens are factorized to int codes and the distinct
-    (row, word) pairs found with one `np.unique` over a fused int64 key —
-    the multiset of per-row `set(tokenize(text))`, in a deterministic order
-    (first appearance), unlike Python set iteration."""
+def word_counts_from_codes(codes, vocab, counts) -> pa.Table:
+    """`partial_word_counts` of an already-tokenized batch (`tokenize_codes`'
+    `(codes, vocab, counts)`): (word, count) rows, count = the number of
+    rows the word occurs in. The distinct (row, word) pairs are found with
+    one `np.unique` over a fused int64 key of the token codes — the
+    multiset of per-row `set(tokenize(text))`, in a deterministic order
+    (the vocabulary's first appearance), unlike Python set iteration."""
     import numpy as np
-    import pandas as pd
 
-    if len(flat) == 0:
-        uniques, cnt = np.empty(0, dtype=object), np.zeros(0, dtype=np.int64)
+    if len(codes) == 0:
+        cnt = np.zeros(len(vocab), dtype=np.int64)
     else:
-        codes, uniques = pd.factorize(flat)
         doc_idx = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
-        distinct = np.unique(doc_idx * np.int64(len(uniques)) + codes) % len(uniques)
-        cnt = np.bincount(distinct, minlength=len(uniques))
+        distinct = np.unique(doc_idx * np.int64(len(vocab)) + codes) % len(vocab)
+        cnt = np.bincount(distinct, minlength=len(vocab))
     return pa.table(
         {
-            "word": pa.array(np.asarray(uniques, dtype=object), type=pa.string()),
+            "word": pa.array(vocab, type=pa.string()),
             "count": pa.array(cnt, type=pa.int64()),
         }
     )

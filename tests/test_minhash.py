@@ -102,3 +102,36 @@ def test_batch_kernels_empty_batch():
     sigs = minhash_signature_batch([], 64)
     assert sigs.shape == (0, 64)
     assert band_keys_u64_batch(sigs, 16).shape == (0, 16)
+
+
+def test_stream_kernels_match_per_doc_twins():
+    """Token hashes of the coded stream + `shingle_stream` + `minhash_stream`
+    equal per-document `shingle_hashes_fast` + `minhash_signature_fast` for
+    seeded documents of 0, 1, k-1, k and more than k tokens."""
+    import random
+
+    from opentapioca_ray.functions.minhash import (
+        minhash_stream,
+        shingle_hashes_fast,
+        shingle_stream,
+        token_hashes,
+    )
+    from opentapioca_ray.functions.text import tokenize, tokenize_codes
+
+    rng = random.Random(21)
+    vocab = [f"w{i}" for i in range(40)] + ["é", "e", "大"]
+    for k in (1, 2, 3, 5):
+        lengths = [0, 1, max(k - 1, 0), k, k + 1, 3 * k + 7, 0, 1, k, 90]
+        lengths += [rng.randrange(0, 2 * k + 3) for _ in range(40)]
+        docs = [" ".join(rng.choice(vocab) for _ in range(n)) for n in lengths]
+        codes, voc, counts = tokenize_codes(docs)
+        sh, sh_counts = shingle_stream(token_hashes(codes, voc), counts, k)
+        per = [shingle_hashes_fast(tokenize(d), k) for d in docs]
+        assert list(sh_counts) == [len(h) for h in per]
+        assert sh.dtype == np.uint64
+        assert np.array_equal(sh, np.concatenate(per))
+        sigs = minhash_stream(sh, sh_counts, 64)
+        assert np.array_equal(sigs, np.stack([minhash_signature_fast(h, 64) for h in per]))
+    sh0, c0 = shingle_stream(np.zeros(0, dtype=np.uint64), np.zeros(0, dtype=np.int64), 3)
+    assert len(sh0) == len(c0) == 0
+    assert minhash_stream(sh0, c0, 16).shape == (0, 16)

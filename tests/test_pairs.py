@@ -190,3 +190,47 @@ def test_token_prefix_lists_match_per_doc_slices():
         got = token_prefix_lists(flat, counts, 4)
         assert got.type == pa.list_(pa.string())
         assert got.to_pylist() == [tokenize(t or "")[:4] for t in docs]
+
+
+def _levenshtein_similarity(a, b, cap=48):
+    """Plain-Python token Levenshtein, normalized like the scorer."""
+    a, b = a[:cap], b[:cap]
+    if not a and not b:
+        return 1.0
+    prev = list(range(len(b) + 1))
+    for i, x in enumerate(a, 1):
+        cur = [i]
+        for j, y in enumerate(b, 1):
+            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (x != y)))
+        prev = cur
+    return 1.0 - prev[-1] / max(len(a), len(b))
+
+
+def test_edit_similarity_batch_matches_python_levenshtein():
+    """The one batch edit DP equals a plain-Python Levenshtein per pair, on
+    seeded pairs of 0 to 60 tokens (both sides over the 48-token cap
+    included), in one batch and one pair at a time."""
+    import random
+
+    from opentapioca_ray.stages.pairs import edit_similarity_batch
+
+    rng = random.Random(5)
+    pairs = [([], []), ([1], []), ([], [2]), ([3] * 60, [3] * 60), ([1] * 50, [2] * 55)]
+    for _ in range(300):
+        alphabet = rng.randrange(1, 6)
+        a = [rng.randrange(alphabet) for _ in range(rng.randrange(0, 61))]
+        b = a[: rng.randrange(0, 61)] if rng.random() < 0.3 else []
+        b = b + [rng.randrange(alphabet) for _ in range(rng.randrange(0, 61 - len(b)))]
+        pairs.append((a, b))
+    want = np.array([_levenshtein_similarity(a, b) for a, b in pairs])
+    got = edit_similarity_batch(
+        np.array([x for a, _ in pairs for x in a], dtype=np.int64),
+        [len(a) for a, _ in pairs],
+        np.array([x for _, b in pairs for x in b], dtype=np.int64),
+        [len(b) for _, b in pairs],
+    )
+    assert np.array_equal(got, want)
+    for a, b in pairs[:60]:
+        sa, sb = [f"t{x}" for x in a], [f"t{x}" for x in b]
+        assert bounded_edit_distance(sa, sb) == _levenshtein_similarity(a, b)
+    assert edit_similarity_batch(np.zeros(0), [], np.zeros(0), []).shape == (0,)

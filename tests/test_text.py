@@ -101,3 +101,36 @@ def test_tokenize_flat_identical_to_per_doc():
     # empty batch
     f0, c0 = tokenize_flat([])
     assert len(f0) == 0 and len(c0) == 0
+
+
+def test_tokenize_codes_matches_per_doc_tokenize():
+    """`vocab[codes]` and `counts` of the coded batch tokenizer equal
+    per-doc `tokenize` on seeded texts: separators at token edges,
+    None/"" documents, and non-ASCII tokens that fold into an existing
+    ASCII token ("é" -> "e") or to "" ("大"). `vocab` holds each token
+    once, in first-appearance order."""
+    import random
+
+    import numpy as np
+
+    from opentapioca_ray.functions.text import tokenize_codes
+
+    rng = random.Random(13)
+    words = ["e", "é", "ß", "ss", "大", "大é", "ab", "ü", "u", "Ü", "x"]
+    seps = [" ", ", ", " -", "; ", " (", "? ", "  ", "\t", ")"]
+    docs = [None, "", " ", ", ", "é e", "大 大", "e é ss ß"]
+    for _ in range(400):
+        parts = [rng.choice(words) for _ in range(rng.randrange(0, 12))]
+        text = "".join(rng.choice(seps) + p for p in parts) + rng.choice(seps + [""])
+        docs.append(text if rng.random() > 0.05 else None)
+    codes, vocab, counts = tokenize_codes(docs)
+    per = [tokenize(d or "") for d in docs]
+    flat = [w for p in per for w in p]
+    assert list(counts) == [len(p) for p in per]
+    assert list(vocab[codes]) == flat
+    assert list(vocab) == list(dict.fromkeys(flat))
+    assert codes.dtype.kind == "i" and counts.dtype == np.int64
+    c0, v0, n0 = tokenize_codes([])
+    assert len(c0) == len(v0) == len(n0) == 0
+    c1, v1, n1 = tokenize_codes(["大", None])
+    assert len(c1) == len(v1) == 0 and list(n1) == [0, 0]

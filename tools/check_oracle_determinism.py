@@ -19,11 +19,12 @@ produce them.
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 TABLES = [
     "region",
@@ -52,16 +53,22 @@ def normalize(df: pd.DataFrame) -> pd.DataFrame:
 def main(sf_dir: str, n_runs: int = 5, only: list[str] | None = None) -> int:
     import __ray_entry__ as entrymod
 
+    oracles = entrymod.oracle_sql()
+    unknown = sorted(set(only or ()) - set(oracles))
+    if unknown:
+        print(f"ERROR unknown oracle name(s): {', '.join(unknown)}")
+        return 1
     con = duckdb.connect()
     for t in TABLES:
         con.execute(
             f"CREATE VIEW {t} AS SELECT * FROM read_parquet('{sf_dir}/{t}.parquet')"
         )
-    oracles = entrymod.oracle_sql()
     flaky, errors, skipped = [], [], []
+    ran = 0
     for name, sql in sorted(oracles.items()):
         if only and name not in only:
             continue
+        ran += 1
         base = None
         try:
             for _ in range(n_runs):
@@ -80,7 +87,7 @@ def main(sf_dir: str, n_runs: int = 5, only: list[str] | None = None) -> int:
                 errors.append(name)
                 print(f"ERROR {name}: {type(e).__name__}: {msg[:100]}")
     print(
-        f"checked {len(oracles) - len(skipped)} oracles x {n_runs} runs: "
+        f"checked {ran - len(skipped)} oracles x {n_runs} runs: "
         f"flaky={flaky or 'none'} errors={errors or 'none'} "
         f"skipped(scratch)={len(skipped)}"
     )
