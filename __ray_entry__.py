@@ -43,20 +43,50 @@ def _rel(path: str, columns=None):
     return read_sized(path, columns=columns)
 
 
-_NGRAM_CC_CACHE: dict[str, tuple] = {}
+_MEMO: dict[tuple, Any] = {}
 
 
+def _memo(*files: str):
+    """Decorator for a `fn(sf_dir)` whose result several queries share:
+    it is built once per input state and Ray session. The key holds the
+    size and `mtime_ns` of each of `files` under `sf_dir` and the Ray
+    session (the driver's node id), so a parquet rewritten at the same path
+    or a new session rebuilds instead of returning stale data or dead block
+    refs; a rebuild replaces the older entry of the same function and
+    path."""
+
+    def wrap(fn: Callable[[str], Any]) -> Callable[[str], Any]:
+        def memoized(sf_dir: str):
+            import os
+
+            import ray
+
+            stamp = tuple(
+                (f, st.st_size, st.st_mtime_ns)
+                for f in files
+                for st in [os.stat(os.path.join(sf_dir, f))]
+            )
+            session = ray.get_runtime_context().get_node_id() if ray.is_initialized() else None
+            key = (fn.__name__, str(sf_dir), stamp, session)
+            if key not in _MEMO:
+                for old in [k for k in _MEMO if k[:2] == key[:2]]:
+                    del _MEMO[old]
+                _MEMO[key] = fn(sf_dir)
+            return _MEMO[key]
+
+        return memoized
+
+    return wrap
+
+
+@_memo("documents.parquet")
 def _ngram_cc(sf_dir: str):
     """The exact n-gram Jaccard pair graph + its connected components over
     the documents table, shared by dup_components / component_sizes /
     cluster_survivorship (all three compose the SAME deterministic graph;
     rebuilding it per query tripled the most expensive bench stage).
-    Materialized once per process+sf_dir; both datasets are tiny relative
-    to the corpus (pairs only)."""
-    key = str(sf_dir)
-    hit = _NGRAM_CC_CACHE.get(key)
-    if hit is not None:
-        return hit
+    Materialized once per input state (`_memo`); both datasets are tiny
+    relative to the corpus (pairs only)."""
     from opentapioca_ray.stages.cc import connected_components
     from opentapioca_ray.stages.dedup import ngram_jaccard_pairs
     from opentapioca_ray.stages.exchange import right_size
@@ -72,23 +102,16 @@ def _ngram_cc(sf_dir: str):
     comp = right_size(
         connected_components(pairs.select_columns(["u", "v"])).materialize()
     )
-    _NGRAM_CC_CACHE[key] = (pairs, comp)
     return pairs, comp
 
 
-_PARTSUPP_CACHE: dict[str, object] = {}
-
-
+@_memo("lineitem.parquet")
 def _partsupp_directed(sf_dir: str):
     """The DISTINCT both-direction part--supplier (src, dst) edge table
     (supplier ids offset by 1e7), shared by random_walks /
     label_propagation — both run on the same graph and were each paying
-    the identical read + dedup exchange. Materialized once per
-    process+sf_dir, like _ngram_cc."""
-    key = str(sf_dir)
-    hit = _PARTSUPP_CACHE.get(key)
-    if hit is not None:
-        return hit
+    the identical read + dedup exchange. Materialized once per input
+    state (`_memo`), like _ngram_cc."""
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -117,7 +140,6 @@ def _partsupp_directed(sf_dir: str):
         .drop_columns(["__n"])
         .materialize()
     )
-    _PARTSUPP_CACHE[key] = directed
     return directed
 
 
@@ -471,8 +493,7 @@ def _q_design_matrix_stats(sf_dir: str):
     import ray
 
     from opentapioca_ray.pipelines.annotate import tag_documents
-    from opentapioca_ray.stages.classify import ClassifierParams
-    from opentapioca_ray.stages.exchange import coarse_group_apply, right_size
+    from opentapioca_ray.stages.classify import ClassifierParams, per_document_apply
 
     ents, pr, bow, _model, word_info = _classifier_fixture(sf_dir)
     gold = _classifier_gold(sf_dir, word_info).materialize()
@@ -485,6 +506,8 @@ def _q_design_matrix_stats(sf_dir: str):
     gold_ref = ray.put(gold_df)
     params = ClassifierParams(nb_steps=0)
     tags = tag_documents(_docs(sf_dir), ents, bow, pr)
+    stat_columns = ("doc_id", "n_rows", "n_pos", "sum_rank_e6", "sum_nbst", "sum_nbsi")
+    schema = pa.schema([(c, pa.int64()) for c in stat_columns])
 
     def doc_stats(df: pd.DataFrame) -> pd.DataFrame:
         """Per-doc roll-up of the vectorized design rows (equivalence to
@@ -492,21 +515,11 @@ def _q_design_matrix_stats(sf_dir: str):
         tests/test_classify_vectorized.py)."""
         from opentapioca_ray.stages.classify import design_rows_vectorized
 
-        empty = pd.DataFrame(
-            {
-                "doc_id": pd.Series(dtype=np.int64),
-                "n_rows": pd.Series(dtype=np.int64),
-                "n_pos": pd.Series(dtype=np.int64),
-                "sum_rank_e6": pd.Series(dtype=np.int64),
-                "sum_nbst": pd.Series(dtype=np.int64),
-                "sum_nbsi": pd.Series(dtype=np.int64),
-            }
-        )
         if df.empty or "doc_id" not in df.columns:
-            return empty
+            return schema.empty_table().to_pandas()
         docs, X, y = design_rows_vectorized(df, ray.get(gold_ref), params)
         if not len(docs):
-            return empty
+            return schema.empty_table().to_pandas()
         frame = pd.DataFrame(
             {
                 "doc_id": docs.astype(np.int64),
@@ -519,8 +532,7 @@ def _q_design_matrix_stats(sf_dir: str):
         )
         return frame.groupby("doc_id", sort=False, as_index=False).sum()
 
-    stats = coarse_group_apply(tags, "doc_id", doc_stats)
-    return right_size(stats.materialize())
+    return per_document_apply(tags, doc_stats, schema)
 
 
 def _q_nif_micro_f1(sf_dir: str):
@@ -2659,22 +2671,13 @@ def _lpa_oracle_sql(rounds: int = 4) -> str:
     return sql
 
 
-_BPE_CACHE: dict[str, tuple] = {}
-
-
+@_memo("documents.parquet")
 def _bpe(sf_dir: str):
-    """(merge table, final vocab state) — trained once per process+sf_dir
-    and shared by the train- and encode-side queries."""
-    key = str(sf_dir)
-    hit = _BPE_CACHE.get(key)
-    if hit is None:
-        from opentapioca_ray.stages.bpe import bpe_train
+    """(merge table, final vocab state) — trained once per input state
+    (`_memo`) and shared by the train- and encode-side queries."""
+    from opentapioca_ray.stages.bpe import bpe_train
 
-        hit = bpe_train(
-            _docs(sf_dir), text_column="text", n_merges=10, return_state=True
-        )
-        _BPE_CACHE[key] = hit
-    return hit
+    return bpe_train(_docs(sf_dir), text_column="text", n_merges=10, return_state=True)
 
 
 def _q_bpe_merges(sf_dir: str):
@@ -2908,15 +2911,14 @@ def _bpe_encode_oracle_sql(n_merges: int = 10) -> str:
     return sql
 
 
-_FS_CACHE: dict[str, tuple] = {}
-
 _FS_FIELDS = {"eq_columns": ["nm", "ty"], "tol_columns": [("sz", 0), ("price_c", 100)]}
 
 
 def _fs_inputs(sf_dir: str):
     """The FS linkage fixture: part (side A) + a deterministically
-    perturbed replica (side B), slim-projected and materialized once per
-    process+sf_dir (shared by fellegi_sunter and fs_clusters)."""
+    perturbed replica (side B), slim-projected and materialized (once per
+    input state, through `_fs_fit`'s memo; shared by fellegi_sunter and
+    fs_clusters)."""
     import numpy as np
     import pyarrow as pa
 
@@ -2977,14 +2979,11 @@ def _fs_inputs(sf_dir: str):
     return a, b
 
 
+@_memo("part.parquet")
 def _fs_fit(sf_dir: str):
-    """(a, b, hist DataFrame, fs_em fit) — computed once per
-    process+sf_dir; the histogram is the only distributed work and both
-    FS queries share it."""
-    key = str(sf_dir)
-    hit = _FS_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """(a, b, hist DataFrame, fs_em fit) — computed once per input state
+    (`_memo`); the histogram is the only distributed work and both FS
+    queries share it."""
     from opentapioca_ray.stages.probabilistic import fs_em, fs_pattern_histogram
 
     a, b = _fs_inputs(sf_dir)
@@ -2992,7 +2991,6 @@ def _fs_fit(sf_dir: str):
         a, b, key_column="k", block_column="blk", **_FS_FIELDS
     ).to_pandas()
     fit = fs_em(hist.to_dict("records"), n_fields=4, iters=5)
-    _FS_CACHE[key] = (a, b, hist, fit)
     return a, b, hist, fit
 
 

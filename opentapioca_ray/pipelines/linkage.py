@@ -34,7 +34,7 @@ from opentapioca_ray.stages.pairs import (
     blocking_batch,
 )
 from opentapioca_ray.state.linear import LinearModel
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, sum_partials
 
 
 # ---------------------------------------------------------------------------
@@ -47,10 +47,6 @@ _MAX_REPOS = 2_000_000
 
 # idf entries kept in the broadcast (the lowest-idf ones)
 _MAX_VOCAB = 500_000
-
-# Partial stats rows that the driver merges directly; above, one coarse
-# exchange sums them first.
-_STATS_DRIVER_LIMIT = 5_000_000
 
 _STATS_SCHEMA = pa.schema(
     [("kind", pa.int8()), ("key", pa.string()), ("count", pa.int64())]
@@ -85,48 +81,29 @@ def _stats_partials(batch: pa.Table, codes, vocab, counts, repo_column: str) -> 
     )
 
 
-def _sum_partials_shuffle(parts):
-    """ONE coarse exchange on hash(key) % P (int sort, not a full string-key
-    groupby over every partial row); each partition sums its (kind, key)
-    groups vectorized, so only vocab-sized aggregated rows come back to the
-    driver."""
-    from opentapioca_ray.stages.exchange import coarse_group_apply
-
-    def sum_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty:
-            return _STATS_SCHEMA.empty_table().to_pandas()
-        out = df.groupby(["kind", "key"], sort=False)["count"].sum().reset_index()
-        out["count"] = out["count"].astype(np.int64)
-        return out
-
-    return coarse_group_apply(parts, "key", sum_partition)
-
-
 def _merge_stats(tables, n_docs: int, max_vocab: int) -> tuple[dict, dict]:
-    """Driver merge of (kind, key, count) partial rows -> (idf, prior): one
-    vectorized dictionary-encode + bincount pass per kind."""
+    """Summed (kind, key, count) rows, one per (kind, key) as
+    `sum_partials` returns them -> (idf, prior). Entries tied at the
+    `max_vocab` and `_MAX_REPOS` cuts are kept by key, so the dicts never
+    depend on the order the partial blocks arrive in."""
     import pyarrow.compute as pc
 
     tables = [t for t in tables if t.num_rows and "kind" in t.column_names]
     if not tables:
         return {}, {}
-    merged = pa.concat_tables(tables).combine_chunks()
+    merged = pa.concat_tables(tables)
 
-    def _sum_by_key(t: pa.Table) -> dict:
-        enc = t.column("key").combine_chunks().dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        cnts = t.column("count").to_numpy(zero_copy_only=False).astype(np.int64)
-        sums = np.bincount(codes, weights=cnts).astype(np.int64)
-        return dict(zip(enc.dictionary.to_pylist(), sums.tolist()))
+    def sums_of(kind: int) -> dict:
+        t = merged.filter(pc.equal(merged.column("kind"), kind))
+        return dict(zip(t.column("key").to_pylist(), t.column("count").to_pylist()))
 
-    word_sum = _sum_by_key(merged.filter(pc.equal(merged.column("kind"), 0)))
-    repo_sum = _sum_by_key(merged.filter(pc.equal(merged.column("kind"), 1)))
+    word_sum, repo_sum = sums_of(0), sums_of(1)
     idf = {w: float(np.log(n_docs / (1.0 + c))) for w, c in word_sum.items()}
     if len(idf) > max_vocab:
-        idf = dict(sorted(idf.items(), key=lambda kv: kv[1])[:max_vocab])
+        idf = dict(sorted(idf.items(), key=lambda kv: (kv[1], kv[0]))[:max_vocab])
     if len(repo_sum) > _MAX_REPOS:
         repo_sum = dict(
-            sorted(repo_sum.items(), key=lambda kv: kv[1], reverse=True)[:_MAX_REPOS]
+            sorted(repo_sum.items(), key=lambda kv: (-kv[1], kv[0]))[:_MAX_REPOS]
         )
     if repo_sum:
         logs = {k: float(np.log1p(v)) for k, v in repo_sum.items()}
@@ -142,8 +119,6 @@ def corpus_stats(
     text_column: str = "content",
     repo_column: str = "repo",
     max_vocab: int = _MAX_VOCAB,
-    mode: str = "auto",
-    driver_limit: int = _STATS_DRIVER_LIMIT,
 ) -> tuple[dict, dict]:
     """One pass over files -> (idf dict, repo prior dict), the broadcast
     corpus statistics of the pair scorer.
@@ -160,12 +135,10 @@ def corpus_stats(
     Each batch emits tagged partial counts (`_stats_partials`: kind 0 =
     word document frequency, kind 1 = repo file count), so the corpus is
     read and tokenized once and there is no separate shuffle for the prior.
-    Scale-adaptive final merge: partial rows under `driver_limit` merge
-    with one vectorized pass on the driver; above that — or with
-    `mode="shuffle"`, which `linkage_clusters(distributed=True)` forces — a
-    distributed groupby(kind, key).sum runs first and only the
-    (vocab-bounded) aggregated rows come back to build the broadcast
-    dicts."""
+    The partials are materialized and merged by `stages/exchange.py:
+    sum_partials`, which picks the driver group-by or the coarse exchange
+    from their row count; only the (vocabulary-bounded) sums come back to
+    build the broadcast dicts (`_merge_stats`)."""
     from opentapioca_ray.functions.text import tokenize_codes
 
     n_docs = files_ds.count()
@@ -174,13 +147,9 @@ def corpus_stats(
         codes, vocab, counts = tokenize_codes(batch.column(text_column).to_pylist())
         return _stats_partials(batch, codes, vocab, counts, repo_column)
 
-    parts = files_ds.map_batches(partial, batch_format="pyarrow")
-    if mode == "auto":
-        parts = parts.materialize()
-        mode = "driver" if parts.count() <= driver_limit else "shuffle"
-    if mode == "shuffle":
-        parts = _sum_partials_shuffle(parts)
-    return _merge_stats(arrow_blocks(parts), n_docs, max_vocab)
+    parts = files_ds.map_batches(partial, batch_format="pyarrow").materialize()
+    sums = sum_partials(parts, ["kind", "key"], _STATS_SCHEMA)
+    return _merge_stats(arrow_blocks(sums), n_docs, max_vocab)
 
 
 # ---------------------------------------------------------------------------
@@ -483,10 +452,11 @@ def _front_pass(files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size
     corpus stats (computed only for a missing `idf`/`prior`) and the
     driver pair generation, read off the same materialized blocks — the
     same outputs as `corpus_stats` + `build_id_pairs(mode="auto")` below
-    `DRIVER_COMBINE_LIMIT` band rows. The stats keep `corpus_stats`'
-    driver/shuffle merge decision, and the pairs `build_id_pairs`'
-    fallback to the shuffle pairing above `_DRIVER_PAIRS_LIMIT`
-    surviving rows."""
+    `DRIVER_COMBINE_LIMIT` band rows. The stats rows, already on the
+    driver, are summed by `sum_partials` (which picks its own regime and
+    hands the sums back on the driver) and finished by `corpus_stats`'
+    `_merge_stats`; the pairs keep `build_id_pairs`' fallback to the
+    shuffle pairing above `_DRIVER_PAIRS_LIMIT` surviving rows."""
     import pyarrow.compute as pc
 
     with_stats = idf is None or prior is None
@@ -495,25 +465,19 @@ def _front_pass(files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size
         batch_format="pyarrow",
     ).materialize()
 
-    def stat_rows(t: pa.Table) -> pa.Table:
-        return t.filter(pc.not_equal(t.column("kind"), _BAND_KIND)).select(
-            _STATS_SCHEMA.names
-        )
-
     stat_tables, band_tables = [], []
     for t in arrow_blocks(front):
         if t.num_rows == 0 or "kind" not in t.column_names:
             continue  # empty blocks may arrive schema-less
-        stat_tables.append(stat_rows(t))
+        stat_tables.append(
+            t.filter(pc.not_equal(t.column("kind"), _BAND_KIND)).select(_STATS_SCHEMA.names)
+        )
         band_tables.append(
             t.filter(pc.equal(t.column("kind"), _BAND_KIND)).select(_BAND_COLUMNS)
         )
     if with_stats:
-        if sum(t.num_rows for t in stat_tables) > _STATS_DRIVER_LIMIT:
-            stat_tables = arrow_blocks(
-                _sum_partials_shuffle(front.map_batches(stat_rows, batch_format="pyarrow"))
-            )
-        stats_idf, stats_prior = _merge_stats(stat_tables, files_ds.count(), _MAX_VOCAB)
+        sums = sum_partials(stat_tables, ["kind", "key"], _STATS_SCHEMA)
+        stats_idf, stats_prior = _merge_stats(sums, files_ds.count(), _MAX_VOCAB)
         idf = stats_idf if idf is None else idf
         prior = stats_prior if prior is None else prior
     pairs = _band_pairs(
@@ -611,7 +575,7 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
         # arrays + two searchsorted lookups over the pair columns (no
         # per-row Python) — then ship back as sliced Arrow blocks so the
         # scorer tasks parallelize.
-        import ray.data as rd
+        from opentapioca_ray.stages.exchange import driver_slices
 
         DRIVER_COLLECTS["pairs_proportional"] += 1  # token rows
         tid_c, trepo_c, tpack_c = [], [], []
@@ -643,10 +607,7 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
                 "right_packed": pa.array(tpack[ri[ok]], type=pa.string()),
             }
         )
-        n_slices = max(1, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2))
-        step = max(1, (table.num_rows + n_slices - 1) // n_slices)
-        slices = [table.slice(i, step) for i in range(0, table.num_rows, step)]
-        return rd.from_arrow(slices or [table])
+        return driver_slices(table)
 
     # Shuffle regime below — the 100 TB path. Candidate tokens are selected
     # by ONE distributed semi-join exchange: every file is tokenized in
@@ -794,16 +755,21 @@ def linkage_clusters(
     scored pairs and the caller's collect. Above that volume the stats and
     the pairs run as `corpus_stats` + `build_id_pairs` passes.
 
-    `distributed=True` forces every VOLUME-carrying stage (corpus stats,
-    blocking, pair generation, token attach, match edges) onto its
-    distributed/shuffle implementation — no driver-side small-regime
-    shortcuts on anything that scales with the input; the configuration the
-    scaling benchmark measures. Connected components keeps its own
-    scale-adaptive threshold even here: its input is the derived MATCH-EDGE
-    set (a tiny fraction of the corpus by construction), so a multi-node
-    100TB run takes the same vectorized driver-side labelling below
-    `local_threshold` edges; the shuffle star rounds are forced and
-    equivalence-tested separately (tests/test_cc.py, local_threshold=0).
+    `distributed=True` forces every VOLUME-carrying stage (blocking, pair
+    generation, token attach, match edges) onto its distributed/shuffle
+    implementation — no driver-side small-regime shortcuts on anything that
+    scales with the input; the configuration the scaling benchmark
+    measures. Two stages keep their own scale-adaptive choice even here,
+    because their input is already reduced: the corpus stats merge
+    (`sum_partials` over per-batch combined partials, vocabulary-bounded
+    and exempt from `DRIVER_COLLECTS`) switches to its exchange by itself
+    above `_SUM_DRIVER_LIMIT` partial rows, and connected components runs
+    on the derived MATCH-EDGE set (a tiny fraction of the corpus by
+    construction), so a multi-node 100TB run takes the same vectorized
+    driver-side labelling below `local_threshold` edges. Both exchange
+    regimes are equivalence-tested separately (tests/test_cc.py with
+    local_threshold=0; the stats merge with `_SUM_DRIVER_LIMIT`
+    monkeypatched to 0).
 
     The band shuffle ships ids only: pairs are deduplicated across bands
     first, then token payloads are attached to the surviving pairs by a
@@ -822,7 +788,7 @@ def linkage_clusters(
         )
     else:
         if idf is None or prior is None:
-            stats_idf, stats_prior = corpus_stats(files_ds, mode=mode)
+            stats_idf, stats_prior = corpus_stats(files_ds)
             idf = stats_idf if idf is None else idf
             prior = stats_prior if prior is None else prior
         pairs = build_id_pairs(

@@ -5,8 +5,10 @@ sort -> scipy CSR -> 16 power iterations (wikidatagraph.py:24-157). Here:
 
 - `extract_edges`: per item, dedup targets + multiplicity counts
   (A2, wikidatagraph.py:44-59) inside `map_batches`;
-- `normalize_edges`: row-normalized weights per src (A3) — a groupby(src)
-  keyed shuffle;
+- `count_edges`: (src, dst) multiplicities, combined per batch and summed
+  by the repo's one partial-sum merge (`stages/exchange.py:sum_partials`);
+- `normalize_edges`: row-normalized weights per src (A3) — per-src totals
+  from the same merge, broadcast to one vectorized divide per batch;
 - `sorted_edge_arrays`: `ds.sort("src")` (Ray's distributed external sort
   replaces GNU sort — K1) + the reference's sortedness validation;
 - `compute_pagerank_local`: numpy kernel (semantics-identical 16 iterations
@@ -63,15 +65,17 @@ def extract_edges(items_ds):
     return items_ds.map_batches(extract_edges_batch, batch_format="pyarrow")
 
 
-def count_edges(ds, src_col: str, dst_col: str, mode: str = "auto", driver_limit: int = 20_000_000):
+_EDGE_COUNT_SCHEMA = pa.schema(
+    [("src", pa.int64()), ("dst", pa.int64()), ("count", pa.int64())]
+)
+
+
+def count_edges(ds, src_col: str, dst_col: str):
     """(src, dst) multiplicity counts with a map-side combiner: each batch
-    pre-aggregates locally with Arrow's hash group-by. Scale-adaptive final
-    merge: partial rows under `driver_limit` merge with one vectorized
-    lexsort+reduceat on the driver (no shuffle); above, a distributed
-    groupby-Sum runs."""
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+    pre-aggregates locally with Arrow's hash group-by, and the partials are
+    summed per (src, dst) by `stages/exchange.py:sum_partials` (a driver
+    group-by up to its row limit, else one coarse exchange)."""
+    from opentapioca_ray.stages.exchange import sum_partials
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table(
@@ -90,125 +94,49 @@ def count_edges(ds, src_col: str, dst_col: str, mode: str = "auto", driver_limit
         )
 
     partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
-    if mode == "auto":
-        mode = "driver" if partials.count() <= driver_limit else "shuffle"
-    if mode == "shuffle":
-        from opentapioca_ray.stages.exchange import coarse_groupby_agg
-
-        return coarse_groupby_agg(
-            partials, ["src", "dst"], {"count": ("count", "sum")}
-        )
-
-    srcs, dsts, cnts = [], [], []
-    for t in arrow_blocks(partials):
-        if t.num_rows == 0 or "src" not in t.column_names:
-            continue
-        srcs.append(t.column("src").to_numpy(zero_copy_only=False))
-        dsts.append(t.column("dst").to_numpy(zero_copy_only=False))
-        cnts.append(t.column("count").to_numpy(zero_copy_only=False))
-    if not srcs:
-        return rd.from_arrow(
-            pa.schema(
-                [("src", pa.int64()), ("dst", pa.int64()), ("count", pa.int64())]
-            ).empty_table()
-        )
-    src = np.concatenate(srcs)
-    dst = np.concatenate(dsts)
-    cnt = np.concatenate(cnts).astype(np.int64)
-    order = np.lexsort((dst, src))
-    src, dst, cnt = src[order], dst[order], cnt[order]
-    new = np.concatenate(([True], (src[1:] != src[:-1]) | (dst[1:] != dst[:-1])))
-    sums = np.add.reduceat(cnt, np.flatnonzero(new))
-    table = pa.table(
-        {
-            "src": pa.array(src[new], type=pa.int64()),
-            "dst": pa.array(dst[new], type=pa.int64()),
-            "count": pa.array(sums, type=pa.int64()),
-        }
-    )
-    return rd.from_arrow(_slices(table))
+    return sum_partials(partials, ["src", "dst"], _EDGE_COUNT_SCHEMA)
 
 
-def _slices(table: pa.Table, n: int | None = None) -> list[pa.Table]:
-    """Split a driver-built table into ~2 blocks per CPU so downstream
-    stages parallelize (a single from_arrow block serializes everything
-    after it, and Ray's sort shuffle is pathological on one big block)."""
-    import ray
-
-    if n is None:
-        n = max(1, min(64, int(ray.cluster_resources().get("CPU", 8)) * 2)) if ray.is_initialized() else 16
-    if table.num_rows == 0:
-        return [table]
-    step = max(1, (table.num_rows + n - 1) // n)
-    return [table.slice(i, step) for i in range(0, table.num_rows, step)]
+_WEIGHT_SCHEMA = pa.schema(
+    [("src", pa.int64()), ("dst", pa.int64()), ("weight", pa.float64())]
+)
 
 
-def normalize_edges(edges_ds, mode: str = "auto", driver_limit: int = 20_000_000):
+def normalize_edges(edges_ds):
     """weight = count / sum(count) per src (reference wikidatagraph.py:103-104).
 
-    Vectorized map-side join: per-src totals from one aggregate (the
-    |V|-sized small side, broadcast once via ray.put as two sorted numpy
-    arrays), then a numpy searchsorted lookup inside map_batches. Scale-
-    adaptive totals: edge counts under `driver_limit` rows sum on the driver
-    with one lexsort+reduceat pass (no shuffle); above, a distributed
-    groupby-Sum runs. No per-group Python either way: a
-    `groupby(src).map_groups` formulation pays per-group pandas overhead on
-    millions of tiny groups. At graphs where |V| outgrows driver memory,
-    swap the broadcast for a reduce-side join keyed on src — same dataflow
-    shape."""
+    Vectorized map-side join: the per-src totals are the edge counts summed
+    by `stages/exchange.py:sum_partials` (driver group-by or coarse
+    exchange, from the edge row count), collected as the |V|-sized small
+    side and broadcast once via ray.put as two sorted numpy arrays; a numpy
+    searchsorted lookup inside map_batches then divides. No per-group
+    Python: a `groupby(src).map_groups` formulation pays per-group pandas
+    overhead on millions of tiny groups. At graphs where |V| outgrows
+    driver memory, swap the broadcast for a reduce-side join keyed on src —
+    same dataflow shape."""
     import ray
-    from ray.data.aggregate import Sum
+
+    from opentapioca_ray.stages.exchange import sum_partials
 
     edges_ds = edges_ds.materialize()  # consumed twice: totals + normalize
-    if mode == "auto":
-        mode = "driver" if edges_ds.count() <= driver_limit else "shuffle"
-    if mode == "driver":
-        src_chunks, cnt_chunks = [], []
-        for t in arrow_blocks(edges_ds):
-            if t.num_rows == 0 or "src" not in t.column_names:
-                continue
-            src_chunks.append(t.column("src").to_numpy(zero_copy_only=False))
-            cnt_chunks.append(t.column("count").to_numpy(zero_copy_only=False))
-        if not src_chunks:
-            return edges_ds
-        s = np.concatenate(src_chunks)
-        c = np.concatenate(cnt_chunks).astype(np.float64)
-        order = np.argsort(s, kind="stable")
-        s_sorted, c_sorted = s[order], c[order]
-        new = np.concatenate(([True], s_sorted[1:] != s_sorted[:-1]))
-        keys_ref = ray.put(s_sorted[new])
-        tots_ref = ray.put(np.add.reduceat(c_sorted, np.flatnonzero(new)))
-
-        def norm_driver(batch: pa.Table) -> pa.Table:
-            k = ray.get(keys_ref)
-            t = ray.get(tots_ref)
-            src = batch.column("src").to_numpy(zero_copy_only=False)
-            cnt = batch.column("count").to_numpy(zero_copy_only=False)
-            idx = np.searchsorted(k, src)
-            return pa.table(
-                {
-                    "src": batch.column("src"),
-                    "dst": batch.column("dst"),
-                    "weight": pa.array(cnt / t[idx], type=pa.float64()),
-                }
-            )
-
-        return edges_ds.map_batches(norm_driver, batch_format="pyarrow")
-
-    totals = edges_ds.groupby("src").aggregate(Sum("count", alias_name="total"))
+    totals = sum_partials(
+        edges_ds, ["src"], pa.schema([("src", pa.int64()), ("count", pa.int64())])
+    )
     key_chunks, tot_chunks = [], []
     for t in arrow_blocks(totals):
         if t.num_rows == 0 or "src" not in t.column_names:
             continue
         key_chunks.append(t.column("src").to_numpy(zero_copy_only=False))
-        tot_chunks.append(t.column("total").to_numpy(zero_copy_only=False))
+        tot_chunks.append(t.column("count").to_numpy(zero_copy_only=False))
     keys = np.concatenate(key_chunks) if key_chunks else np.zeros(0, np.int64)
-    tots = np.concatenate(tot_chunks) if tot_chunks else np.zeros(0)
+    tots = np.concatenate(tot_chunks) if tot_chunks else np.zeros(0, np.int64)
     order = np.argsort(keys)
     keys_ref = ray.put(keys[order])
     tots_ref = ray.put(tots[order].astype(np.float64))
 
     def norm(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or "src" not in batch.column_names:
+            return _WEIGHT_SCHEMA.empty_table()
         k = ray.get(keys_ref)
         t = ray.get(tots_ref)
         src = batch.column("src").to_numpy(zero_copy_only=False)

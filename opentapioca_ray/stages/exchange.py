@@ -220,6 +220,72 @@ def coarse_groupby_agg(ds, key_cols: list[str], agg_spec: dict, n_parts: int | N
     )
 
 
+# Partial rows `sum_partials` merges on the driver. It bounds the driver's
+# share of a merge: up to this many rows (key columns plus int64 sums, a
+# few hundred MB of string keys) are concatenated and grouped in driver
+# memory; above it one coarse exchange sums them on the workers.
+_SUM_DRIVER_LIMIT = 5_000_000
+
+
+def driver_slices(table: pa.Table):
+    """A table built on the driver as a `from_arrow` Dataset of about 2
+    blocks per CPU (at most 64), so downstream maps parallelize (one
+    block would serialize everything after it). Collecting it runs one
+    Ray Data execution unless it is `.materialize()`d first."""
+    import ray
+    import ray.data
+
+    cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
+    step = max(1, -(-table.num_rows // min(64, 2 * cpus)))
+    slices = [table.slice(i, step) for i in range(0, table.num_rows, step)]
+    return ray.data.from_arrow(slices or [table])
+
+
+def sum_partials(parts, keys: list[str], schema: pa.Schema):
+    """The one merge of combiner partial rows: sum every column of `schema`
+    that is not in `keys`, per `keys`, one row per key (null keys dropped,
+    as the exchange's pandas group-by drops them).
+
+    `parts` is a MATERIALIZED Dataset of partial rows, or its blocks already
+    on the driver (a list of pa.Table); either way the partial-row count is
+    known without an execution, and it picks the regime. The sums come
+    back in the form the partials came in: a Dataset, or a list of
+    pa.Table on the driver.
+
+    Up to `_SUM_DRIVER_LIMIT` rows the partials are concatenated on the
+    driver for one single-threaded Arrow group-by (groups in
+    first-appearance order, so thread scheduling never reorders them); a
+    Dataset result is then materialized `driver_slices`, so a collect of it
+    runs no execution. Above, one `coarse_groupby_agg` exchange sums them
+    on the workers, and only driver-side partials have their sums brought
+    back to the driver."""
+    import ray.data
+
+    values = [n for n in schema.names if n not in keys]
+    on_driver = isinstance(parts, list)
+    n_rows = sum(t.num_rows for t in parts) if on_driver else parts.count()
+    if n_rows > _SUM_DRIVER_LIMIT:
+        ds = ray.data.from_arrow(parts) if on_driver else parts
+        sums = coarse_groupby_agg(ds, keys, {v: (v, "sum") for v in values})
+        return list(arrow_blocks(sums)) if on_driver else sums
+    tables = [
+        t.select(schema.names).cast(schema)
+        for t in (parts if on_driver else arrow_blocks(parts))
+        if t.num_rows and keys[0] in t.column_names
+    ]
+    merged = pa.concat_tables(tables) if tables else schema.empty_table()
+    for k in keys:
+        if merged.column(k).null_count:
+            merged = merged.filter(pc.is_valid(merged.column(k)))
+    sums = pa.TableGroupBy(merged, keys, use_threads=False).aggregate(
+        [(v, "sum") for v in values]
+    )
+    table = pa.table(
+        [sums.column(n if n in keys else f"{n}_sum") for n in schema.names], schema=schema
+    )
+    return [table] if on_driver else driver_slices(table).materialize()
+
+
 def coarse_semi_join(
     ds,
     key_column: str,

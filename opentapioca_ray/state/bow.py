@@ -6,9 +6,11 @@ with smoothing=1 and a save threshold that drops words with count < 2.
 
 Training is NOT the reference's single-threaded loop: it is a Ray Data
 aggregation — per-row distinct-word extraction (`flat_map` semantics inside
-`map_batches`) followed by a `groupby("word").count()` shuffle with partial
-pre-aggregation, scaling to arbitrarily many documents (reference
-languagemodel.py:91-123 trains in one process).
+`map_batches`) pre-aggregated per batch, then summed per word by the
+repo's one partial-sum merge (`stages/exchange.py:sum_partials`: a driver
+group-by for small corpora, one coarse exchange above), scaling to
+arbitrarily many documents (reference languagemodel.py:91-123 trains in
+one process).
 """
 
 from __future__ import annotations
@@ -94,6 +96,9 @@ class BOWLanguageModel:
 # Distributed training (Ray Data)
 # ---------------------------------------------------------------------------
 
+_COUNT_SCHEMA = pa.schema([("word", pa.string()), ("count", pa.int64())])
+
+
 def partial_word_counts(batch: pa.Table, text_column: str) -> pa.Table:
     """Combiner: count distinct-per-row words inside the batch BEFORE the
     shuffle, so the groupby moves (word, partial_count) not raw tokens."""
@@ -125,63 +130,35 @@ def word_counts_from_codes(codes, vocab, counts) -> pa.Table:
     )
 
 
-def train_bow(ds, text_column: str = "text", threshold: int = 2,
-              mode: str = "auto", driver_limit: int = 5_000_000):
+def train_bow(ds, text_column: str = "text", threshold: int = 2):
     """documents Dataset -> (word_counts Dataset, total_count int).
 
-    Pipeline: map_batches(partial combiner) -> merge -> filter. The final
-    merge is scale-adaptive: partial (word, count) rows under `driver_limit`
-    merge with one vectorized dictionary-encode + bincount pass on the
-    driver (no shuffle); above, a distributed groupby(word).sum runs.
-    `total_count` is the number of (row, distinct word) pairs BEFORE
-    thresholding (reference counts every ingested word, then thresholds only
-    at save time — languagemodel.py:78-88).
+    Pipeline: map_batches(partial combiner) -> `stages/exchange.py:
+    sum_partials` -> filter. The merge picks its regime from the partial
+    row count: a driver group-by for small corpora, else one coarse
+    exchange. The summed counts are materialized once; the kept (count >=
+    `threshold`) rows are a filter over them, and `total_count` is read off
+    their (vocabulary-bounded) blocks with no further execution of the
+    merge. `total_count` is the number of (row, distinct word) pairs
+    BEFORE thresholding (reference counts every ingested word, then
+    thresholds only at save time — languagemodel.py:78-88).
     """
-    import numpy as np
-    import ray
-    import ray.data as rd
-    from ray.data.aggregate import Sum
+    import pyarrow.compute as pc
+
+    from opentapioca_ray.stages.exchange import sum_partials
 
     partial = ds.map_batches(
         lambda b: partial_word_counts(b, text_column),
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    if mode == "auto":
-        mode = "driver" if partial.count() <= driver_limit else "shuffle"
-    if mode == "driver":
-        word_chunks, cnt_chunks = [], []
-        for t in arrow_blocks(partial):
-            if t.num_rows == 0 or "word" not in t.column_names:
-                continue
-            col = t.column("word")
-            word_chunks.extend(col.chunks if isinstance(col, pa.ChunkedArray) else [col])
-            cnt_chunks.append(t.column("count").to_numpy(zero_copy_only=False))
-        if not word_chunks:
-            empty = pa.schema([("word", pa.string()), ("count", pa.int64())]).empty_table()
-            return rd.from_arrow(empty), 0
-        enc = pa.chunked_array(word_chunks).combine_chunks().dictionary_encode()
-        codes = enc.indices.to_numpy(zero_copy_only=False)
-        cnts = np.concatenate(cnt_chunks).astype(np.int64)
-        sums = np.bincount(codes, weights=cnts).astype(np.int64)
-        total = int(sums.sum())
-        sel = sums >= threshold
-        table = pa.table(
-            {
-                "word": enc.dictionary.filter(pa.array(sel)),
-                "count": pa.array(sums[sel], type=pa.int64()),
-            }
-        )
-        n_slices = max(1, min(16, table.num_rows // 4096 + 1))
-        step = max(1, (table.num_rows + n_slices - 1) // n_slices)
-        slices = [table.slice(i, step) for i in range(0, table.num_rows, step)]
-        return rd.from_arrow(slices or [table]), total
-    counts = partial.groupby("word").aggregate(Sum("count", alias_name="count"))
-    total = counts.sum("count")
-    kept = counts.filter(
-        expr=f"count >= {threshold}"
-    ) if hasattr(counts, "filter") else counts
-    return kept, int(total or 0)
+    counts = sum_partials(partial, ["word"], _COUNT_SCHEMA).materialize()
+    total = sum(
+        pc.sum(t.column("count")).as_py() or 0
+        for t in arrow_blocks(counts)
+        if t.num_rows and "count" in t.column_names
+    )
+    return counts.filter(expr=f"count >= {threshold}"), int(total)
 
 
 def bow_from_dataset(ds, text_column: str = "text", threshold: int = 2) -> BOWLanguageModel:

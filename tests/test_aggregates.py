@@ -475,3 +475,19 @@ def test_group_entropy(ray_session):
     assert out.loc["a", "n_rows"] == 4
     assert out.loc["b", "entropy_e6"] == 0
     assert out.loc["b", "n_rows"] == 2
+
+
+def test_partial_sum_count_passes_schemaless_empty_blocks(ray_session):
+    """A zero-row block without the key column (a schema-less shuffle
+    filler) passes through the combiner instead of raising `KeyError`."""
+    import ray.data
+
+    from opentapioca_ray.stages.aggregates import _multi_partial, partial_sum_count
+
+    assert _multi_partial(pa.table({}), ["k"], ["x"]).num_rows == 0
+    t = pa.table({"k": pa.array([1, 2, 1], pa.int64()), "x": pa.array([1.0, 2.0, 3.0])})
+    ds = ray.data.from_arrow([t, pa.table({}), t])
+    got = {
+        r["k"]: (r["sum_x"], r["count"]) for r in partial_sum_count(ds, "k", ["x"]).take_all()
+    }
+    assert got == {1: (8.0, 4), 2: (4.0, 2)}

@@ -37,33 +37,105 @@ def test_build_id_pairs_modes_agree(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_count_edges_modes_agree(ray_session):
+def _sum_regimes(monkeypatch, run):
+    """`run()` in `sum_partials`' driver regime, then with its driver limit
+    at 0 (the coarse exchange): the two results."""
+    from opentapioca_ray.stages import exchange
+
+    driver = run()
+    with monkeypatch.context() as m:
+        m.setattr(exchange, "_SUM_DRIVER_LIMIT", 0)
+        shuffled = run()
+    return driver, shuffled
+
+
+def _lineitem_edges():
     import ray.data
 
+    return ray.data.read_parquet(
+        "/root/testdata/sf0.001/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
+    )
+
+
+def test_count_edges_modes_agree(ray_session, monkeypatch):
     from opentapioca_ray.pipelines.pagerank import count_edges
 
-    li = ray.data.read_parquet(
-        "/root/testdata/sf0.001/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
     cols = ["src", "dst", "count"]
-    a = (
-        count_edges(li, "l_partkey", "l_suppkey", mode="driver")
-        .to_pandas()[cols]
-        .astype("int64")
-        .sort_values(cols)
-        .reset_index(drop=True)
-    )
-    li2 = ray.data.read_parquet(
-        "/root/testdata/sf0.001/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-    )
-    b = (
-        count_edges(li2, "l_partkey", "l_suppkey", mode="shuffle")
-        .to_pandas()[cols]
-        .astype("int64")
-        .sort_values(cols)
-        .reset_index(drop=True)
-    )
+
+    def run():
+        return (
+            count_edges(_lineitem_edges(), "l_partkey", "l_suppkey")
+            .to_pandas()[cols]
+            .astype("int64")
+            .sort_values(cols)
+            .reset_index(drop=True)
+        )
+
+    a, b = _sum_regimes(monkeypatch, run)
+    assert len(a) > 0 and (a["count"] > 1).any()
     pd.testing.assert_frame_equal(a, b)
+
+
+def test_normalize_edges_modes_agree(ray_session, monkeypatch):
+    """The per-src totals of `normalize_edges` from the driver group-by and
+    from the exchange give bit-identical weights (extract-style edges with
+    repeated sources, plus one empty block)."""
+    import pyarrow as pa
+    import ray.data
+
+    from opentapioca_ray.pipelines.pagerank import normalize_edges
+
+    rng = np.random.default_rng(3)
+    src = rng.integers(0, 40, size=600)
+    edges = pa.table(
+        {
+            "src": pa.array(src, pa.int64()),
+            "dst": pa.array(np.arange(600), pa.int64()),
+            "count": pa.array(rng.integers(1, 9, size=600), pa.int64()),
+        }
+    )
+    blocks = [edges.slice(0, 250), edges.slice(250, 0), edges.slice(250)]
+    cols = ["src", "dst", "weight"]
+
+    def run():
+        out = normalize_edges(ray.data.from_arrow(blocks)).to_pandas()[cols]
+        return out.sort_values(cols).reset_index(drop=True)
+
+    a, b = _sum_regimes(monkeypatch, run)
+    assert len(a) == 600
+    pd.testing.assert_frame_equal(a, b, check_exact=True)
+    totals = edges.to_pandas().groupby("src")["count"].transform("sum")
+    want = (edges.column("count").to_numpy() / totals.to_numpy()).tolist()
+    got = dict(zip(a["dst"], a["weight"]))
+    assert [got[d] for d in range(600)] == want
+
+
+def test_train_bow_modes_agree(ray_session, monkeypatch):
+    """`train_bow`'s kept counts and total from the driver group-by and from
+    the exchange agree, and match a serial per-document count."""
+    from collections import Counter
+
+    import ray.data
+
+    from opentapioca_ray.functions.text import tokenize
+    from opentapioca_ray.state.bow import train_bow
+
+    texts = [
+        f"w{i % 11} w{i % 5} w{i % 3} shared" + (" rare" if i == 7 else "")
+        for i in range(60)
+    ] + ["", "shared"]
+
+    def run():
+        ds = ray.data.from_items([{"text": t} for t in texts]).repartition(5)
+        kept, total = train_bow(ds, "text", threshold=2)
+        df = kept.to_pandas()[["word", "count"]].astype({"count": "int64"})
+        return df.sort_values("word").reset_index(drop=True), total
+
+    (a, total_a), (b, total_b) = _sum_regimes(monkeypatch, run)
+    pd.testing.assert_frame_equal(a, b)
+    serial = Counter(w for t in texts for w in set(tokenize(t)))
+    assert total_a == total_b == sum(serial.values())
+    assert dict(zip(a["word"], a["count"])) == {w: c for w, c in serial.items() if c >= 2}
 
 
 def test_linkage_distributed_matches_adaptive(ray_session):
@@ -153,16 +225,15 @@ def test_ngram_jaccard_modes_agree(ray_session):
     pd.testing.assert_frame_equal(a, b)
 
 
-def test_corpus_stats_modes_agree(ray_session):
+def test_corpus_stats_modes_agree(ray_session, monkeypatch):
     from opentapioca_ray.pipelines.linkage import corpus_stats
 
     files = _files(ray_session)
-    idf_a, prior_a = corpus_stats(files, mode="driver")
-    idf_b, prior_b = corpus_stats(files, mode="shuffle")
+    (idf_a, prior_a), (idf_b, prior_b) = _sum_regimes(
+        monkeypatch, lambda: corpus_stats(files)
+    )
     assert len(idf_a) > 0 and len(prior_a) > 0
-    assert set(idf_a) == set(idf_b) and set(prior_a) == set(prior_b)
-    assert all(abs(idf_a[k] - idf_b[k]) < 1e-12 for k in idf_a)
-    assert all(abs(prior_a[k] - prior_b[k]) < 1e-12 for k in prior_a)
+    assert idf_a == idf_b and prior_a == prior_b
 
 
 def test_prefilter_modes_agree(ray_session):

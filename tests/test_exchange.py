@@ -125,3 +125,57 @@ def test_arrow_blocks_runs_a_lazy_plan_once(ray_session, ray_execs):
     assert sum(t.num_rows for t in arrow_blocks(done)) == 60
     assert len(block_refs(done)) == done.num_blocks()
     assert ray_execs() == start
+
+
+def test_sum_partials_regimes_agree(ray_session, monkeypatch, ray_execs):
+    """`sum_partials` over a materialized dataset and over driver-side
+    blocks: the driver group-by (a collect of its result runs no execution)
+    and the coarse exchange give the same sums per composite key, in the
+    form the partials came in; null keys are dropped, and an input without
+    rows gives an empty typed result."""
+    import ray.data
+
+    from opentapioca_ray.stages import exchange
+    from opentapioca_ray.stages.exchange import sum_partials
+
+    rng = np.random.default_rng(9)
+    n = 400
+    schema = pa.schema([("kind", pa.int8()), ("key", pa.string()), ("count", pa.int64())])
+    keys = [f"k{v}" for v in rng.integers(0, 30, size=n)]
+    keys[5] = None
+    parts = pa.table(
+        {
+            "kind": pa.array(rng.integers(0, 2, size=n), pa.int8()),
+            "key": pa.array(keys, pa.string()),
+            "count": pa.array(rng.integers(1, 5, size=n), pa.int64()),
+        }
+    )
+    tables = [parts.slice(0, 150), parts.slice(150, 0), parts.slice(150)]
+    want = (
+        parts.to_pandas().dropna().groupby(["kind", "key"])["count"].sum().to_dict()
+    )
+
+    def sums(out):
+        blocks = out if isinstance(out, list) else arrow_blocks(out)
+        t = pa.concat_tables(
+            [b.select(schema.names).cast(schema) for b in blocks if b.num_rows]
+        )
+        return dict(zip(zip(*[t.column(c).to_pylist() for c in ("kind", "key")]),
+                        t.column("count").to_pylist()))
+
+    materialized = ray.data.from_arrow(tables).materialize()
+    for source in (materialized, tables):
+        start = ray_execs()
+        out = sum_partials(source, ["kind", "key"], schema)
+        assert isinstance(out, list) == (source is tables)
+        assert sums(out) == want
+        assert ray_execs() == start
+        with monkeypatch.context() as m:
+            m.setattr(exchange, "_SUM_DRIVER_LIMIT", 0)
+            out = sum_partials(source, ["kind", "key"], schema)
+            assert isinstance(out, list) == (source is tables)
+            assert sums(out) == want
+    for source in ([parts.slice(0, 0)], ray.data.from_arrow(parts.slice(0, 0)).materialize()):
+        out = sum_partials(source, ["kind", "key"], schema)
+        blocks = out if isinstance(out, list) else list(arrow_blocks(out))
+        assert [t.schema for t in blocks] == [schema] and blocks[0].num_rows == 0

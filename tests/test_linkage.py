@@ -89,6 +89,27 @@ def test_repo_prior_max_repos_cap(ray_session, corpus, monkeypatch):
     assert all(full[k] == v for k, v in capped.items())
 
 
+def test_stats_caps_break_ties_by_key(ray_session, monkeypatch):
+    """Entries tied at the `max_vocab` and `_MAX_REPOS` cuts are kept by
+    key, whatever order the partial blocks arrive in."""
+    import pyarrow as pa
+
+    from opentapioca_ray.pipelines import linkage
+    from opentapioca_ray.pipelines.linkage import _STATS_SCHEMA, _merge_stats
+
+    def rows(word, repo):
+        return pa.table(
+            {"kind": pa.array([0, 1], pa.int8()), "key": [word, repo], "count": [1, 1]},
+            schema=_STATS_SCHEMA,
+        )
+
+    t1, t2 = rows("beta", "r2"), rows("alpha", "r1")
+    monkeypatch.setattr(linkage, "_MAX_REPOS", 1)
+    for tables in ([t1, t2], [t2, t1]):
+        idf, prior = _merge_stats(tables, 2, 1)
+        assert list(idf) == ["alpha"] and list(prior) == ["r1"]
+
+
 def test_corpus_stats_matches_separate_passes(ray_session, corpus):
     """corpus_stats against an independent pandas computation of both
     statistics: idf = log(N / (1 + df)) over per-file distinct tokens, and
@@ -200,7 +221,7 @@ def _sorted_pairs(ds):
 def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
     """The one-pass front yields the same idf, prior and driver pairs as
     `corpus_stats` + `build_id_pairs(mode="driver")`, over several blocks
-    (one of them empty); also through `corpus_stats`' shuffle merge and
+    (one of them empty); also through the stats merge's exchange and
     `build_id_pairs`' shuffle fallback, and with `idf`/`prior` passed in
     (then no stats rows are emitted)."""
     import pyarrow as pa
@@ -208,6 +229,7 @@ def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
 
     from opentapioca_ray.pipelines import linkage
     from opentapioca_ray.pipelines.linkage import _front_pass, build_id_pairs
+    from opentapioca_ray.stages import exchange
 
     df = _front_corpus()
     table = pa.Table.from_pandas(df, preserve_index=False)
@@ -228,27 +250,31 @@ def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
     assert got_idf is given_idf and got_prior is given_prior
     pd.testing.assert_frame_equal(_sorted_pairs(pairs), expect)
 
-    monkeypatch.setattr(linkage, "_STATS_DRIVER_LIMIT", 0)
+    monkeypatch.setattr(exchange, "_SUM_DRIVER_LIMIT", 0)
     monkeypatch.setattr(linkage, "_DRIVER_PAIRS_LIMIT", 0)
     shuffled_idf, shuffled_prior, pairs = _front_pass(files, None, None, *args)
     assert shuffled_idf == idf and shuffled_prior == prior
     pd.testing.assert_frame_equal(_sorted_pairs(pairs), expect)
 
 
-def test_null_repo_stats_agree(ray_session):
+def test_null_repo_stats_agree(ray_session, monkeypatch):
     """A file with a null repo counts toward the idf but toward no repo's
-    prior, and the driver merge, the shuffle merge and the linkage front
+    prior, and the driver merge, the exchange merge and the linkage front
     give the same idf and prior."""
     import ray.data
 
     from opentapioca_ray.pipelines.linkage import _front_pass
+    from opentapioca_ray.stages import exchange
 
     df = _front_corpus()
     df.loc[3, "repo"] = None
     files = ray.data.from_pandas(df).materialize()
-    idf, prior = corpus_stats(files, mode="driver")
-    assert (idf, prior) == corpus_stats(files, mode="shuffle")
+    idf, prior = corpus_stats(files)
     assert (idf, prior) == _front_pass(files, None, None, 128, 32, 3, 4, 2)[:2]
+    with monkeypatch.context() as m:
+        m.setattr(exchange, "_SUM_DRIVER_LIMIT", 0)
+        assert (idf, prior) == corpus_stats(files)
+        assert (idf, prior) == _front_pass(files, None, None, 128, 32, 3, 4, 2)[:2]
     logs = np.log1p(df["repo"].value_counts())
     assert prior == pytest.approx((logs / logs.max()).to_dict())
     named = ray.data.from_pandas(df.fillna({"repo": "named"}))
