@@ -143,6 +143,111 @@ def _partsupp_directed(sf_dir: str):
     return directed
 
 
+
+def _encode_copurchase(t) -> dict:
+    """The co-purchase graph's node encoding of lineitem-shaped rows:
+    u = 2*l_partkey, v = 2*l_suppkey+1, so one int64 id space holds both
+    bipartite sides (`_node_labeller` decodes it)."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    two = pa.scalar(2, pa.int64())
+    return {
+        "u": pc.multiply(t.column("l_partkey").cast(pa.int64()), two),
+        "v": pc.add(
+            pc.multiply(t.column("l_suppkey").cast(pa.int64()), two),
+            pa.scalar(1, pa.int64()),
+        ),
+    }
+
+
+def _node_labeller(*values: str):
+    """A pyarrow batch map that decodes `_encode_copurchase` node ids
+    into (entity, key) and keeps the int64 columns `values`."""
+    import numpy as np
+    import pyarrow as pa
+
+    schema = pa.schema(
+        [("entity", pa.string()), ("key", pa.int64())]
+        + [(c, pa.int64()) for c in values]
+    )
+
+    def label(batch):
+        if batch.num_rows == 0 or "node" not in batch.column_names:
+            return schema.empty_table()
+        node = batch.column("node").to_numpy(zero_copy_only=False)
+        return pa.table(
+            [
+                pa.array(np.where(node % 2 == 0, "part", "supplier"), pa.string()),
+                pa.array(node // 2, pa.int64()),
+                *(batch.column(c).cast(pa.int64()) for c in values),
+            ],
+            schema=schema,
+        )
+
+    return label
+
+
+@_memo("lineitem.parquet")
+def _copurchase_edges(sf_dir: str):
+    """The DISTINCT quantity-1 part--supplier (u, v) edges in the
+    `_encode_copurchase` encoding, shared by bfs_hops /
+    landmark_closeness / stress_centrality / hyperanf_balls /
+    degree_assortativity (all five run on the same graph). Materialized
+    once per input state (`_memo`), like _partsupp_directed."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    from opentapioca_ray.stages.exchange import coarse_groupby_agg, right_size
+
+    li = _rel(
+        f"{sf_dir}/lineitem.parquet",
+        columns=["l_partkey", "l_suppkey", "l_quantity"],
+    )
+    schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
+
+    def mk_edges(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
+            return schema.empty_table()
+        t = batch.filter(pc.equal(batch.column("l_quantity").cast(pa.int64()), 1))
+        return pa.table(_encode_copurchase(t))
+
+    return right_size(
+        coarse_groupby_agg(
+            li.map_batches(mk_edges, batch_format="pyarrow"),
+            ["u", "v"],
+            {"n": ("u", "size")},
+        )
+        .map_batches(
+            lambda b: (
+                b.select(["u", "v"])
+                if b.num_rows and "u" in b.column_names
+                else schema.empty_table()
+            ),
+            batch_format="pyarrow",
+        )
+        .materialize()
+    )
+
+
+def _part_seeds(sf_dir: str, modulus: int):
+    """The seed nodes 2*p_partkey of the parts with p_partkey % modulus
+    == 0: the sampled landmarks of the co-purchase graph queries."""
+    import numpy as np
+    import pyarrow as pa
+
+    schema = pa.schema([("node", pa.int64())])
+
+    def mk_seeds(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or "p_partkey" not in batch.column_names:
+            return schema.empty_table()
+        k = batch.column("p_partkey").to_numpy(zero_copy_only=False).astype(np.int64)
+        return pa.table({"node": pa.array(2 * k[k % modulus == 0])}).cast(schema)
+
+    return _rel(f"{sf_dir}/part.parquet", columns=["p_partkey"]).map_batches(
+        mk_seeds, batch_format="pyarrow"
+    )
+
 _ORACLE_AUX = "/tmp/otr_oracle_aux"
 
 
@@ -7847,7 +7952,6 @@ def _q_kcore_nodes(sf_dir: str):
     (entity, key, degree) of the surviving core. All-integer, so the
     unrolled 12-round SQL twin matches exactly whether or not the peel
     converged."""
-    import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
 
@@ -7860,45 +7964,16 @@ def _q_kcore_nodes(sf_dir: str):
     )
 
     def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
         if batch.num_rows == 0 or "n" not in batch.column_names:
-            return schema.empty_table()
-        t = batch.filter(pc.greater_equal(batch.column("n"), 3))
-        p = t.column("l_partkey").cast(pa.int64())
-        s = t.column("l_suppkey").cast(pa.int64())
+            return pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
         return pa.table(
-            {
-                "u": pc.multiply(p, pa.scalar(2, pa.int64())),
-                "v": pc.add(
-                    pc.multiply(s, pa.scalar(2, pa.int64())),
-                    pa.scalar(1, pa.int64()),
-                ),
-            }
+            _encode_copurchase(batch.filter(pc.greater_equal(batch.column("n"), 3)))
         )
 
     deg = kcore_degrees(
         mult.map_batches(mk_edges, batch_format="pyarrow"), k=2, rounds=12
     )
-
-    def label(batch: pa.Table) -> pa.Table:
-        schema = pa.schema(
-            [("entity", pa.string()), ("key", pa.int64()), ("degree", pa.int64())]
-        )
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return schema.empty_table()
-        node = batch.column("node").to_numpy(zero_copy_only=False)
-        is_part = node % 2 == 0
-        return pa.table(
-            {
-                "entity": pa.array(
-                    np.where(is_part, "part", "supplier"), pa.string()
-                ),
-                "key": pa.array(node // 2),
-                "degree": batch.column("degree").cast(pa.int64()),
-            }
-        )
-
-    return deg.map_batches(label, batch_format="pyarrow")
+    return deg.map_batches(_node_labeller("degree"), batch_format="pyarrow")
 
 
 def _q_landmark_closeness(sf_dir: str):
@@ -7908,7 +7983,7 @@ def _q_landmark_closeness(sf_dir: str):
     then per node the exact-integer harmonic sum over landmarks,
     closeness_u = sum(1000000 // dist) for dist >= 1, plus the reached-
     landmark count. Distances keyed (lm, node) ride the same bounded-
-    iteration exchange shape as bfs_hops (stages/graphops.
+    iteration relaxation as bfs_hops (stages/graphops.
     multi_source_hops); the whole closeness roll-up is one slim
     groupby."""
     import pyarrow as pa
@@ -7917,64 +7992,9 @@ def _q_landmark_closeness(sf_dir: str):
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
     from opentapioca_ray.stages.graphops import multi_source_hops
 
-    li = _rel(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity"],
+    dists = multi_source_hops(
+        _copurchase_edges(sf_dir), _part_seeds(sf_dir, 397), rounds=4
     )
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-        if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
-            return schema.empty_table()
-        t = batch.filter(
-            pc.equal(batch.column("l_quantity").cast(pa.int64()), 1)
-        )
-        return pa.table(
-            {
-                "u": pc.multiply(
-                    t.column("l_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                ),
-                "v": pc.add(
-                    pc.multiply(
-                        t.column("l_suppkey").cast(pa.int64()),
-                        pa.scalar(2, pa.int64()),
-                    ),
-                    pa.scalar(1, pa.int64()),
-                ),
-            }
-        )
-
-    edges = coarse_groupby_agg(
-        li.map_batches(mk_edges, batch_format="pyarrow"),
-        ["u", "v"],
-        {"n": ("u", "size")},
-    ).map_batches(
-        lambda b: (
-            b.select(["u", "v"])
-            if b.num_rows and "u" in b.column_names
-            else pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
-        ),
-        batch_format="pyarrow",
-    )
-
-    def mk_seeds(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("node", pa.int64())])
-        if batch.num_rows == 0 or "p_partkey" not in batch.column_names:
-            return schema.empty_table()
-        import numpy as np
-
-        k = (
-            batch.column("p_partkey")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        return pa.table({"node": pa.array(2 * k[k % 397 == 0])}).cast(schema)
-
-    seeds = _rel(f"{sf_dir}/part.parquet", columns=["p_partkey"]).map_batches(
-        mk_seeds, batch_format="pyarrow"
-    )
-    dists = multi_source_hops(edges, seeds, rounds=4)
 
     def terms(b: pa.Table) -> pa.Table:
         schema = pa.schema([("node", pa.int64()), ("recip_u", pa.int64())])
@@ -7996,33 +8016,9 @@ def _q_landmark_closeness(sf_dir: str):
         ["node"],
         {"closeness_u": ("recip_u", "sum"), "n_lm": ("recip_u", "size")},
     )
-
-    def label(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        schema = pa.schema(
-            [
-                ("entity", pa.string()),
-                ("key", pa.int64()),
-                ("closeness_u", pa.int64()),
-                ("n_lm", pa.int64()),
-            ]
-        )
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return schema.empty_table()
-        node = batch.column("node").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "entity": pa.array(
-                    np.where(node % 2 == 0, "part", "supplier"), pa.string()
-                ),
-                "key": pa.array(node // 2),
-                "closeness_u": batch.column("closeness_u").cast(pa.int64()),
-                "n_lm": batch.column("n_lm").cast(pa.int64()),
-            }
-        ).cast(schema)
-
-    return rolled.map_batches(label, batch_format="pyarrow")
+    return rolled.map_batches(
+        _node_labeller("closeness_u", "n_lm"), batch_format="pyarrow"
+    )
 
 
 def _landmark_closeness_sql(rounds: int = 4) -> str:
@@ -8077,79 +8073,12 @@ def _q_stress_centrality(sf_dir: str):
     betweenness-family measure that stays in int64 (no fractional
     Brandes deltas), so the unrolled sigma/paths SQL chains replay it
     bit-for-bit (stages/graphops.stress_centrality)."""
-    import numpy as np
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from opentapioca_ray.stages.exchange import coarse_groupby_agg
     from opentapioca_ray.stages.graphops import stress_centrality
 
-    li = _rel(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity"],
+    out = stress_centrality(
+        _copurchase_edges(sf_dir), _part_seeds(sf_dir, 397), rounds=4
     )
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-        if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
-            return schema.empty_table()
-        t = batch.filter(
-            pc.equal(batch.column("l_quantity").cast(pa.int64()), 1)
-        )
-        return pa.table(
-            {
-                "u": pc.multiply(
-                    t.column("l_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                ),
-                "v": pc.add(
-                    pc.multiply(
-                        t.column("l_suppkey").cast(pa.int64()),
-                        pa.scalar(2, pa.int64()),
-                    ),
-                    pa.scalar(1, pa.int64()),
-                ),
-            }
-        )
-
-    edges = coarse_groupby_agg(
-        li.map_batches(mk_edges, batch_format="pyarrow"),
-        ["u", "v"],
-        {"n": ("u", "size")},
-    ).map_batches(
-        lambda b: (
-            b.select(["u", "v"])
-            if b.num_rows and "u" in b.column_names
-            else pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
-        ),
-        batch_format="pyarrow",
-    )
-
-    def mk_seeds(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("node", pa.int64())])
-        if batch.num_rows == 0 or "p_partkey" not in batch.column_names:
-            return schema.empty_table()
-        k = (
-            batch.column("p_partkey")
-            .to_numpy(zero_copy_only=False)
-            .astype(np.int64)
-        )
-        return pa.table({"node": pa.array(2 * k[k % 397 == 0])}).cast(schema)
-
-    seeds = _rel(f"{sf_dir}/part.parquet", columns=["p_partkey"]).map_batches(
-        mk_seeds, batch_format="pyarrow"
-    )
-    out = stress_centrality(edges, seeds, rounds=4)
-    node = out.column("node").to_numpy(zero_copy_only=False)
-    return pa.table(
-        {
-            "entity": pa.array(
-                np.where(node % 2 == 0, "part", "supplier"), pa.string()
-            ),
-            "key": pa.array(node // 2),
-            "stress": out.column("stress"),
-        }
-    )
+    return _node_labeller("stress")(out)
 
 
 def _stress_sql(rounds: int = 4) -> str:
@@ -8246,98 +8175,10 @@ def _q_bfs_hops(sf_dir: str):
     2*suppkey+1; isolated seeds are reachable at dist 0. All-integer, so
     the unrolled 6-round SQL twin matches exactly whether or not the
     relaxation converged."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
     from opentapioca_ray.stages.graphops import bfs_hops
 
-    li = _rel(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity"],
-    )
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-        if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
-            return schema.empty_table()
-        t = batch.filter(
-            pc.equal(batch.column("l_quantity").cast(pa.int64()), 1)
-        )
-        return pa.table(
-            {
-                "u": pc.multiply(
-                    t.column("l_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                ),
-                "v": pc.add(
-                    pc.multiply(
-                        t.column("l_suppkey").cast(pa.int64()),
-                        pa.scalar(2, pa.int64()),
-                    ),
-                    pa.scalar(1, pa.int64()),
-                ),
-            }
-        )
-
-    # distinct edges: the BFS contract takes a deduped edge list
-    from opentapioca_ray.stages.exchange import coarse_groupby_agg
-
-    edges = coarse_groupby_agg(
-        li.map_batches(mk_edges, batch_format="pyarrow"),
-        ["u", "v"],
-        {"n": ("u", "size")},
-    ).map_batches(
-        lambda b: (
-            b.select(["u", "v"])
-            if b.num_rows and "u" in b.column_names
-            else pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
-        ),
-        batch_format="pyarrow",
-    )
-
-    def mk_seeds(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("node", pa.int64())])
-        if batch.num_rows == 0 or "p_partkey" not in batch.column_names:
-            return schema.empty_table()
-        k = batch.column("p_partkey").cast(pa.int64())
-        import numpy as np
-
-        keep = (k.to_numpy(zero_copy_only=False) % 97) == 0
-        t = batch.filter(pa.array(keep))
-        return pa.table(
-            {
-                "node": pc.multiply(
-                    t.column("p_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                )
-            }
-        )
-
-    seeds = _rel(f"{sf_dir}/part.parquet", columns=["p_partkey"]).map_batches(
-        mk_seeds, batch_format="pyarrow"
-    )
-    dist = bfs_hops(edges, seeds, rounds=6)
-
-    def label(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        schema = pa.schema(
-            [("entity", pa.string()), ("key", pa.int64()), ("dist", pa.int64())]
-        )
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return schema.empty_table()
-        node = batch.column("node").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "entity": pa.array(
-                    np.where(node % 2 == 0, "part", "supplier"), pa.string()
-                ),
-                "key": pa.array(node // 2),
-                "dist": batch.column("dist").cast(pa.int64()),
-            }
-        )
-
-    return dist.map_batches(label, batch_format="pyarrow")
+    dist = bfs_hops(_copurchase_edges(sf_dir), _part_seeds(sf_dir, 97), rounds=6)
+    return dist.map_batches(_node_labeller("dist"), batch_format="pyarrow")
 
 
 def _q_weighted_paths(sf_dir: str):
@@ -8347,10 +8188,8 @@ def _q_weighted_paths(sf_dir: str):
     that (part, supplier) pair, seeded at p_partkey % 101 == 0, 6
     relaxation rounds. All-integer min-plus algebra, so the unrolled
     6-round SQL twin matches exactly whether or not the relaxation
-    converged. One lookup exchange + one min-groupby per round."""
-    import numpy as np
+    converged."""
     import pyarrow as pa
-    import pyarrow.compute as pc
 
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
     from opentapioca_ray.stages.graphops import weighted_hops
@@ -8361,26 +8200,12 @@ def _q_weighted_paths(sf_dir: str):
     )
 
     def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema(
-            [("u", pa.int64()), ("v", pa.int64()), ("w", pa.int64())]
-        )
         if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
-            return schema.empty_table()
+            return pa.schema(
+                [("u", pa.int64()), ("v", pa.int64()), ("w", pa.int64())]
+            ).empty_table()
         return pa.table(
-            {
-                "u": pc.multiply(
-                    batch.column("l_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                ),
-                "v": pc.add(
-                    pc.multiply(
-                        batch.column("l_suppkey").cast(pa.int64()),
-                        pa.scalar(2, pa.int64()),
-                    ),
-                    pa.scalar(1, pa.int64()),
-                ),
-                "w": batch.column("l_quantity").cast(pa.int64()),
-            }
+            {**_encode_copurchase(batch), "w": batch.column("l_quantity").cast(pa.int64())}
         )
 
     # distinct weighted edges: min quantity per (part, supplier) pair
@@ -8389,46 +8214,8 @@ def _q_weighted_paths(sf_dir: str):
         ["u", "v"],
         {"w": ("w", "min")},
     )
-
-    def mk_seeds(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("node", pa.int64())])
-        if batch.num_rows == 0 or "p_partkey" not in batch.column_names:
-            return schema.empty_table()
-        k = batch.column("p_partkey").cast(pa.int64())
-        keep = (k.to_numpy(zero_copy_only=False) % 101) == 0
-        t = batch.filter(pa.array(keep))
-        return pa.table(
-            {
-                "node": pc.multiply(
-                    t.column("p_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                )
-            }
-        )
-
-    seeds = _rel(f"{sf_dir}/part.parquet", columns=["p_partkey"]).map_batches(
-        mk_seeds, batch_format="pyarrow"
-    )
-    dist = weighted_hops(edges, seeds, rounds=6)
-
-    def label(batch: pa.Table) -> pa.Table:
-        schema = pa.schema(
-            [("entity", pa.string()), ("key", pa.int64()), ("dist", pa.int64())]
-        )
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return schema.empty_table()
-        node = batch.column("node").to_numpy(zero_copy_only=False)
-        return pa.table(
-            {
-                "entity": pa.array(
-                    np.where(node % 2 == 0, "part", "supplier"), pa.string()
-                ),
-                "key": pa.array(node // 2),
-                "dist": batch.column("dist").cast(pa.int64()),
-            }
-        )
-
-    return dist.map_batches(label, batch_format="pyarrow")
+    dist = weighted_hops(edges, _part_seeds(sf_dir, 101), rounds=6)
+    return dist.map_batches(_node_labeller("dist"), batch_format="pyarrow")
 
 
 def _q_cusum_alarms(sf_dir: str):
@@ -8815,53 +8602,9 @@ def _q_hyperanf_balls(sf_dir: str):
     effective-diameter primitive. Registers are exact integers end to
     end; the 3 rounds unroll in the SQL twin; only the final estimate is
     the one fixed quantized HLL expression."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from opentapioca_ray.stages.exchange import coarse_groupby_agg
     from opentapioca_ray.stages.graphops import hll_ball_sketches
 
-    li = _rel(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity"],
-    )
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-        if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
-            return schema.empty_table()
-        t = batch.filter(
-            pc.equal(batch.column("l_quantity").cast(pa.int64()), 1)
-        )
-        return pa.table(
-            {
-                "u": pc.multiply(
-                    t.column("l_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                ),
-                "v": pc.add(
-                    pc.multiply(
-                        t.column("l_suppkey").cast(pa.int64()),
-                        pa.scalar(2, pa.int64()),
-                    ),
-                    pa.scalar(1, pa.int64()),
-                ),
-            }
-        )
-
-    edges = coarse_groupby_agg(
-        li.map_batches(mk_edges, batch_format="pyarrow"),
-        ["u", "v"],
-        {"n": ("u", "size")},
-    ).map_batches(
-        lambda b: (
-            b.select(["u", "v"])
-            if b.num_rows and "u" in b.column_names
-            else pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
-        ),
-        batch_format="pyarrow",
-    )
-    return hll_ball_sketches(edges, rounds=3)
+    return hll_ball_sketches(_copurchase_edges(sf_dir), rounds=3)
 
 
 def _q_window_distinct_users(sf_dir: str):
@@ -9804,53 +9547,9 @@ def _q_degree_assortativity(sf_dir: str):
     high-degree part connect to high-degree suppliers? Sufficient
     statistics are exact int64 sums over the symmetrized edge list; r is
     one quantized float expression."""
-    import pyarrow as pa
-    import pyarrow.compute as pc
-
-    from opentapioca_ray.stages.exchange import coarse_groupby_agg
     from opentapioca_ray.stages.graphops import degree_assortativity
 
-    li = _rel(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity"],
-    )
-
-    def mk_edges(batch: pa.Table) -> pa.Table:
-        schema = pa.schema([("u", pa.int64()), ("v", pa.int64())])
-        if batch.num_rows == 0 or "l_partkey" not in batch.column_names:
-            return schema.empty_table()
-        t = batch.filter(
-            pc.equal(batch.column("l_quantity").cast(pa.int64()), 1)
-        )
-        return pa.table(
-            {
-                "u": pc.multiply(
-                    t.column("l_partkey").cast(pa.int64()),
-                    pa.scalar(2, pa.int64()),
-                ),
-                "v": pc.add(
-                    pc.multiply(
-                        t.column("l_suppkey").cast(pa.int64()),
-                        pa.scalar(2, pa.int64()),
-                    ),
-                    pa.scalar(1, pa.int64()),
-                ),
-            }
-        )
-
-    edges = coarse_groupby_agg(
-        li.map_batches(mk_edges, batch_format="pyarrow"),
-        ["u", "v"],
-        {"n": ("u", "size")},
-    ).map_batches(
-        lambda b: (
-            b.select(["u", "v"])
-            if b.num_rows and "u" in b.column_names
-            else pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
-        ),
-        batch_format="pyarrow",
-    )
-    return degree_assortativity(edges)
+    return degree_assortativity(_copurchase_edges(sf_dir))
 
 
 def _q_chi2_cells(sf_dir: str):

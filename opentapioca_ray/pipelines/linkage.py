@@ -766,9 +766,9 @@ def linkage_clusters(
     above `_SUM_DRIVER_LIMIT` partial rows, and connected components runs
     on the derived MATCH-EDGE set (a tiny fraction of the corpus by
     construction), so a multi-node 100TB run takes the same vectorized
-    driver-side labelling below `local_threshold` edges. Both exchange
-    regimes are equivalence-tested separately (tests/test_cc.py with
-    local_threshold=0; the stats merge with `_SUM_DRIVER_LIMIT`
+    driver-side labelling up to `cc._LOCAL_EDGE_LIMIT` edges. Both exchange
+    regimes are equivalence-tested separately (tests/test_cc.py and the
+    stats merge, with `_LOCAL_EDGE_LIMIT` and `_SUM_DRIVER_LIMIT`
     monkeypatched to 0).
 
     The band shuffle ships ids only: pairs are deduplicated across bands

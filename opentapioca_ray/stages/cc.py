@@ -149,48 +149,72 @@ def _edge_digest(ds) -> tuple[int, int]:
     return count, acc
 
 
+# Graphs of at most this many edges run on the driver: their int64 edge
+# columns are collected into driver memory (2M edges x 16 B for (u, v),
+# 24 B with a weight column) and handed to a numpy kernel. Above it each
+# graph stage (connected_components, kcore_degrees and the hop operators
+# in stages/graphops.py) runs its exchange rounds instead.
+_LOCAL_EDGE_LIMIT = 2_000_000
+
+
+def local_edge_columns(
+    edges_ds, columns: tuple[str, ...] = ("u", "v")
+) -> dict[str, np.ndarray] | None:
+    """`columns` of the MATERIALIZED `edges_ds` as int64 numpy arrays,
+    collected to the driver in one pass, when it holds at most
+    `_LOCAL_EDGE_LIMIT` rows; None above it (the caller runs its exchange
+    rounds). An empty edge set gives empty arrays."""
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    if edges_ds.count() > _LOCAL_EDGE_LIMIT:
+        return None
+    parts = {c: [np.zeros(0, dtype=np.int64)] for c in columns}
+    for t in arrow_blocks(edges_ds):
+        if t.num_rows == 0 or columns[0] not in t.column_names:
+            continue
+        for c in columns:
+            parts[c].append(t.column(c).to_numpy(zero_copy_only=False).astype(np.int64))
+    return {c: np.concatenate(p) for c, p in parts.items()}
+
+
+def local_result(table: pa.Table):
+    """A driver-built stage result as ONE materialized Arrow block: a
+    collect of it runs no Ray Data execution (`from_items` would build
+    one block per row)."""
+    import ray.data
+
+    return ray.data.from_arrow(table).materialize()
+
+
 def connected_components(
     edges_ds,
     max_rounds: int = 30,
-    local_threshold: int = 200_000,
     n_parts: int | None = None,
 ):
     """edges Dataset (u, v) -> assignments Dataset (node, component).
 
-    Scale-adaptive: when the edge set fits comfortably on one node
-    (<= `local_threshold` edges) the edges are collected as numpy columns,
-    labelled on the driver by the vectorized `_local_components` kernel
-    and returned as ONE materialized Arrow block, nodes ascending (a
-    collect of it runs no Ray Data execution) — match edges are a
-    tiny fraction of input rows, so this is the common case even for huge
-    corpora. Above the threshold it runs the large-star/small-star rounds,
-    one coarse-partition exchange each (O(log n) rounds); stop when the
-    edge digest is stable. Pass `local_threshold=0` to force the
-    distributed path (tests do).
+    Scale-adaptive: up to `_LOCAL_EDGE_LIMIT` edges the edge columns are
+    collected to the driver, labelled by the vectorized
+    `_local_components` kernel and returned as ONE materialized Arrow
+    block, nodes ascending — match edges are a tiny fraction of input
+    rows, so this is the common case even for huge corpora. Above the
+    limit it runs the large-star/small-star rounds, one coarse-partition
+    exchange each (O(log n) rounds); stop when the edge digest is stable.
+    Tests reach the exchange rounds by monkeypatching `_LOCAL_EDGE_LIMIT`
+    to 0.
     """
     edges_ds = edges_ds.materialize()
-    if edges_ds.count() <= local_threshold:
-        import ray.data
-
-        from opentapioca_ray.stages.exchange import arrow_blocks
-
-        us, vs = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-        for t in arrow_blocks(edges_ds):
-            if t.num_rows == 0 or "u" not in t.column_names:
-                continue
-            us.append(t.column("u").to_numpy(zero_copy_only=False).astype(np.int64))
-            vs.append(t.column("v").to_numpy(zero_copy_only=False).astype(np.int64))
-        nodes, roots = _local_components(np.concatenate(us), np.concatenate(vs))
-        # one block: `from_items` would build one block per row;
-        # materialized, so the caller's collect runs no execution
-        return ray.data.from_arrow(
+    cols = local_edge_columns(edges_ds)
+    if cols is not None:
+        nodes, roots = _local_components(cols["u"], cols["v"])
+        return local_result(
             pa.table(
                 {
                     "node": pa.array(nodes, pa.int64()),
                     "component": pa.array(roots, pa.int64()),
                 }
             )
-        ).materialize()
+        )
 
     # every input node must appear in the output even if its edges are
     # self-loops (dropped by the star rounds) — union self-assignments in

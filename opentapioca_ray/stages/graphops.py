@@ -238,7 +238,6 @@ def kcore_degrees(
     edges,
     k: int = 2,
     rounds: int = 12,
-    local_threshold: int = 2_000_000,
     n_parts=None,
 ):
     """Fixed-round k-core peel (Seidman 1983 coreness, bounded-round form
@@ -248,12 +247,12 @@ def kcore_degrees(
     peel converged, and the SQL twin unrolls the identical rounds.
 
     Input: (u, v) edge rows (distinct). Output: (node, degree) of the
-    surviving subgraph. Distributed shape per round: ONE combiner degree
-    roll-up + TWO coarse semi-joins (edges keyed by u, then v) — all
-    integer, nothing driver-side. Small graphs (< `local_threshold`
-    edges, e.g. after an upstream multiplicity filter) collapse to a
-    single-partition numpy kernel, the same escape hatch cc.py uses;
-    `local_threshold=0` forces the distributed path (tests do)."""
+    surviving subgraph. Up to `cc._LOCAL_EDGE_LIMIT` edges the peel runs
+    on the driver (`_peel_kernel`) and returns one materialized block.
+    Above it, per round: ONE combiner degree roll-up + TWO coarse
+    semi-joins (edges keyed by u, then v) — all integer, nothing
+    driver-side."""
+    from opentapioca_ray.stages.cc import local_edge_columns, local_result
     from opentapioca_ray.stages.exchange import (
         coarse_groupby_agg,
         coarse_semi_join,
@@ -261,6 +260,22 @@ def kcore_degrees(
     )
 
     deg_schema = pa.schema([("node", pa.int64()), ("degree", pa.int64())])
+
+    edges = edges.materialize()
+    cols = local_edge_columns(edges)
+    if cols is not None:
+        u, v = _peel_kernel(cols["u"], cols["v"], k, rounds)
+        nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
+        return local_result(
+            pa.table(
+                {
+                    "node": pa.array(nodes, pa.int64()),
+                    "degree": pa.array(
+                        np.bincount(inv, minlength=len(nodes)), pa.int64()
+                    ),
+                }
+            )
+        )
 
     def explode(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or "u" not in batch.column_names:
@@ -287,32 +302,6 @@ def kcore_degrees(
                 else deg_schema.empty_table()
             ),
             batch_format="pyarrow",
-        )
-
-    edges = edges.materialize()
-    if edges.count() <= local_threshold:
-        def local(t: pa.Table) -> pa.Table:
-            if t.num_rows == 0 or "u" not in t.column_names:
-                return deg_schema.empty_table()
-            u = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-            v = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-            u, v = _peel_kernel(u, v, k, rounds)
-            nodes, inv = (
-                np.unique(np.concatenate([u, v]), return_inverse=True)
-                if len(u)
-                else (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
-            )
-            return pa.table(
-                {
-                    "node": pa.array(nodes.astype(np.int64)),
-                    "degree": pa.array(np.bincount(inv).astype(np.int64))
-                    if len(u)
-                    else pa.array([], pa.int64()),
-                }
-            )
-
-        return edges.repartition(1).map_batches(
-            local, batch_format="pyarrow", batch_size=None
         )
 
     for _ in range(rounds):
@@ -347,148 +336,145 @@ def kcore_degrees(
     return final_degrees(edges)
 
 
-def _bfs_kernel(
-    u: np.ndarray, v: np.ndarray, seeds: np.ndarray, rounds: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """In-memory fixed-round BFS relaxation over an undirected edge list.
-    Returns (node, dist) for every node within `rounds` hops of a seed
-    (isolated seeds included at dist 0)."""
+def both_dirs(
+    batch: pa.Table, names: tuple[str, str] = ("u", "v"), weight: str | None = None
+) -> pa.Table:
+    """Each (u, v[, weight]) edge row in both orientations, as int64
+    columns `names` (plus `weight`, copied to both rows): the symmetrize
+    step of every operator that treats edges as undirected."""
+    fields = [(n, pa.int64()) for n in (*names, *([weight] if weight else []))]
+    if batch.num_rows == 0 or "u" not in batch.column_names:
+        return pa.schema(fields).empty_table()
+    u = batch.column("u").cast(pa.int64()).combine_chunks()
+    v = batch.column("v").cast(pa.int64()).combine_chunks()
+    out = {names[0]: pa.concat_arrays([u, v]), names[1]: pa.concat_arrays([v, u])}
+    if weight:
+        w = batch.column(weight).cast(pa.int64()).combine_chunks()
+        out[weight] = pa.concat_arrays([w, w])
+    return pa.table(out)
+
+
+def _hops_kernel(
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    lm: np.ndarray,
+    seeds: np.ndarray,
+    rounds: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """In-memory fixed-round min-plus relaxation over an undirected edge
+    list with nonnegative int64 weights `w`: each distinct landmark `lm`
+    relaxes from the seed nodes it labels, `rounds` times (a fixpoint is
+    stable, so stopping early changes nothing). Returns (lm, node, dist)
+    for every node reached within `rounds` rounds, seeds included at dist
+    0; duplicate (lm, seed) pairs count once. With w = 1 this is BFS."""
     INF = np.int64(2**62)
     nodes = np.unique(np.concatenate([u, v, seeds]))
-    dist = np.full(len(nodes), INF, dtype=np.int64)
-    dist[np.searchsorted(nodes, np.unique(seeds))] = 0
-    iu = np.searchsorted(nodes, u)
-    iv = np.searchsorted(nodes, v)
-    for _ in range(rounds):
-        nd = dist.copy()
-        np.minimum.at(nd, iu, dist[iv] + 1)
-        np.minimum.at(nd, iv, dist[iu] + 1)
-        if (nd == dist).all():
-            break
-        dist = nd
-    reached = dist < INF
-    return nodes[reached], dist[reached]
+    iu, iv = np.searchsorted(nodes, u), np.searchsorted(nodes, v)
+    src, dst, ww = np.concatenate([iu, iv]), np.concatenate([iv, iu]), np.concatenate([w, w])
+    o = np.argsort(lm, kind="stable")
+    landmarks, starts = np.unique(lm[o], return_index=True)
+    out_lm, out_node, out_dist = [], [], []
+    for landmark, group in zip(landmarks, np.split(seeds[o], starts[1:])):
+        dist = np.full(len(nodes), INF, dtype=np.int64)
+        dist[np.searchsorted(nodes, group)] = 0
+        for _ in range(rounds):
+            ok = dist[src] < INF  # never add a weight to the INF sentinel
+            nd = dist.copy()
+            np.minimum.at(nd, dst[ok], dist[src[ok]] + ww[ok])
+            if np.array_equal(nd, dist):
+                break
+            dist = nd
+        reached = np.flatnonzero(dist < INF)
+        out_lm.append(np.full(len(reached), landmark, dtype=np.int64))
+        out_node.append(nodes[reached])
+        out_dist.append(dist[reached])
+    if not out_lm:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty, empty
+    return np.concatenate(out_lm), np.concatenate(out_node), np.concatenate(out_dist)
 
 
-def bfs_hops(
-    edges,
-    seeds,
-    rounds: int = 6,
-    local_threshold: int = 2_000_000,
-    n_parts=None,
-):
-    """Fixed-round breadth-first hop distances from a seed set (the
-    bounded-iteration contract shared with the repo's 16-round PageRank
-    and 12-round k-core: a fixpoint is stable, so the unrolled SQL twin
-    matches whether or not the relaxation converged).
+_HOPS_SCHEMA = pa.schema(
+    [("lm", pa.int64()), ("node", pa.int64()), ("dist", pa.int64())]
+)
 
-    Inputs: `edges` with (u, v) int64 rows (undirected, distinct),
-    `seeds` with a `node` int64 column. Output: (node, dist) for nodes
-    within `rounds` hops (isolated seeds included, dist 0).
 
-    Distributed shape per round: ONE reduce-side lookup exchange keyed by
-    edge source (dist rows ride the same shuffle — message generation)
-    + ONE coarse min-groupby over messages ∪ current dists. Nothing
-    proportional to the graph ever touches the driver; small graphs
-    (< `local_threshold` edges) collapse to a single-partition numpy
-    kernel, same escape hatch as cc.py/kcore (`local_threshold=0`
-    forces the distributed rounds — tests do)."""
+def _relax(edges, seeds, rounds: int, n_parts, weighted: bool, per_landmark: bool):
+    """The fixed-round relaxation behind `bfs_hops`, `weighted_hops` and
+    `multi_source_hops`: (lm, node, dist) state, one min-plus step per
+    round over the undirected edges. Each edge adds its `w` column when
+    `weighted`, else 1; each seed is its own landmark (lm = node) when
+    `per_landmark`, else every seed shares lm = 0. Seeds are deduplicated
+    once, so duplicate seeds change nothing in either regime.
+
+    Up to `cc._LOCAL_EDGE_LIMIT` edges the edges and seeds are collected
+    to the driver and `_hops_kernel` returns one materialized block.
+    Above it, per round: ONE reduce-side lookup exchange keyed by edge
+    source (the state rows ride the same shuffle; the message kernel
+    expands every state row co-located with an edge source through
+    multi-match searchsorted ranges) + ONE coarse min-groupby on
+    (lm, node) over the messages ∪ the current state."""
+    from opentapioca_ray.stages.cc import local_edge_columns, local_result
     from opentapioca_ray.stages.exchange import (
         coarse_group_apply,
         coarse_groupby_agg,
         right_size,
     )
 
-    dist_schema = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
+    def seed_rows(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or "node" not in batch.column_names:
+            return _HOPS_SCHEMA.empty_table()
+        node = batch.column("node").cast(pa.int64()).combine_chunks()
+        zeros = pa.array(np.zeros(batch.num_rows, dtype=np.int64))
+        return pa.table(
+            {"lm": node if per_landmark else zeros, "node": node, "dist": zeros}
+        )
+
+    seed_ds = seeds.map_batches(seed_rows, batch_format="pyarrow")
+    edges = edges.materialize()
+    cols = local_edge_columns(edges, ("u", "v", "w") if weighted else ("u", "v"))
+    if cols is not None:
+        # seeds are O(seed-count): tiny next to the edges collected above
+        s = pa.concat_tables(
+            [_HOPS_SCHEMA.empty_table()]
+            + [t for t in arrow_blocks(seed_ds) if t.num_rows and "lm" in t.column_names]
+        )
+        u, v = cols["u"], cols["v"]
+        lm, node, dist = _hops_kernel(
+            u,
+            v,
+            cols["w"] if weighted else np.ones(len(u), dtype=np.int64),
+            s.column("lm").to_numpy(),
+            s.column("node").to_numpy(),
+            rounds,
+        )
+        return local_result(
+            pa.table(
+                [pa.array(lm), pa.array(node), pa.array(dist)], schema=_HOPS_SCHEMA
+            )
+        )
+
     union_schema = pa.schema(
         [
             ("key", pa.int64()),
             ("v", pa.int64()),
+            ("w", pa.int64()),
+            ("lm", pa.int64()),
             ("d", pa.int64()),
             ("__is_dist", pa.bool_()),
         ]
     )
 
-    def seed_dist(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return dist_schema.empty_table()
-        return pa.table(
-            {
-                "node": batch.column("node").cast(pa.int64()),
-                "dist": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            }
-        )
-
-    # symmetrize once: relaxation treats edges as undirected
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return _EDGE_SCHEMA.empty_table()
-        u = batch.column("u").cast(pa.int64()).combine_chunks()
-        v = batch.column("v").cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {
-                "u": pa.concat_arrays([u, v]),
-                "v": pa.concat_arrays([v, u]),
-            }
-        )
-
-    edges = edges.materialize()
-    if edges.count() <= local_threshold:
-        seeds_t = seed_dist_table = None
-
-        def local(t: pa.Table, s: pa.Table) -> pa.Table:
-            eu = (
-                t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-                if t.num_rows and "u" in t.column_names
-                else np.zeros(0, dtype=np.int64)
-            )
-            ev = (
-                t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-                if t.num_rows and "u" in t.column_names
-                else np.zeros(0, dtype=np.int64)
-            )
-            sn = (
-                s.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-                if s.num_rows and "node" in s.column_names
-                else np.zeros(0, dtype=np.int64)
-            )
-            if len(sn) == 0:
-                return dist_schema.empty_table()
-            nodes, dist = _bfs_kernel(eu, ev, sn, rounds)
-            return pa.table({"node": pa.array(nodes), "dist": pa.array(dist)})
-
-        # seeds are O(seed-count) — tiny by contract on the local path
-        import ray as _ray
-
-        seed_tbl = pa.concat_tables(
-            list(
-                arrow_blocks(
-                    seeds.map_batches(seed_dist, batch_format="pyarrow")
-                )
-            )
-        )
-        seed_ref = _ray.put(seed_tbl)
-        return edges.repartition(1).map_batches(
-            lambda t: local(t, _ray.get(seed_ref)),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-
-    sym = right_size(
-        edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
-    )
-    dist = right_size(
-        seeds.map_batches(seed_dist, batch_format="pyarrow").materialize()
-    )
-
     def edge_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return union_schema.empty_table()
-        n = batch.num_rows
+        t = both_dirs(batch, weight="w" if weighted else None)
+        n = t.num_rows
         return pa.table(
             {
-                "key": batch.column("u").cast(pa.int64()),
-                "v": batch.column("v").cast(pa.int64()),
+                "key": t.column("u"),
+                "v": t.column("v"),
+                "w": t.column("w") if weighted else pa.array(np.ones(n, dtype=np.int64)),
+                "lm": pa.nulls(n, pa.int64()),
                 "d": pa.nulls(n, pa.int64()),
                 "__is_dist": pa.array(np.zeros(n, dtype=bool)),
             }
@@ -502,6 +488,8 @@ def bfs_hops(
             {
                 "key": batch.column("node").cast(pa.int64()),
                 "v": pa.nulls(n, pa.int64()),
+                "w": pa.nulls(n, pa.int64()),
+                "lm": batch.column("lm").cast(pa.int64()),
                 "d": batch.column("dist").cast(pa.int64()),
                 "__is_dist": pa.array(np.ones(n, dtype=bool)),
             }
@@ -509,56 +497,94 @@ def bfs_hops(
 
     def messages(t: pa.Table) -> pa.Table:
         if t.num_rows == 0 or "__is_dist" not in t.column_names:
-            return dist_schema.empty_table()
+            return _HOPS_SCHEMA.empty_table()
         isd = t.column("__is_dist").to_numpy(zero_copy_only=False).astype(bool)
-        ek = t.column("key").to_numpy(zero_copy_only=False)[~isd]
+        key = t.column("key").to_numpy(zero_copy_only=False)
+        ek, dk = key[~isd], key[isd]
         ev = t.column("v").to_numpy(zero_copy_only=False)[~isd]
-        dk = t.column("key").to_numpy(zero_copy_only=False)[isd]
+        ew = t.column("w").to_numpy(zero_copy_only=False)[~isd]
+        dl = t.column("lm").to_numpy(zero_copy_only=False)[isd]
         dd = t.column("d").to_numpy(zero_copy_only=False)[isd]
-        if len(ek) == 0 or len(dk) == 0:
-            return dist_schema.empty_table()
-        o = np.argsort(dk)
-        dk, dd = dk[o], dd[o]
-        idx = np.searchsorted(dk, ek)
-        idx_c = np.clip(idx, 0, len(dk) - 1)
-        hit = dk[idx_c] == ek
+        o = np.argsort(dk, kind="stable")
+        dk, dl, dd = dk[o], dl[o], dd[o]
+        lo = np.searchsorted(dk, ek, side="left")
+        cnt = np.searchsorted(dk, ek, side="right") - lo
+        total = int(cnt.sum())
+        if total == 0:
+            return _HOPS_SCHEMA.empty_table()
+        rep = np.repeat(np.arange(len(ek)), cnt)
+        idx = np.repeat(lo, cnt) + (np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt))
         return pa.table(
             {
-                "node": pa.array(ev[hit].astype(np.int64)),
-                "dist": pa.array((dd[idx_c[hit]] + 1).astype(np.int64)),
+                "lm": pa.array(dl[idx].astype(np.int64)),
+                "node": pa.array(ev[rep].astype(np.int64)),
+                "dist": pa.array((dd[idx] + ew[rep]).astype(np.int64)),
             }
         )
 
-    for _ in range(rounds):
-        unioned = sym.map_batches(edge_rows, batch_format="pyarrow").union(
-            dist.map_batches(dist_rows, batch_format="pyarrow")
+    def clean(b: pa.Table) -> pa.Table:
+        if b.num_rows == 0 or "node" not in b.column_names:
+            return _HOPS_SCHEMA.empty_table()
+        return b.select(["lm", "node", "dist"]).cast(_HOPS_SCHEMA)
+
+    def min_dist(ds):
+        return right_size(
+            coarse_groupby_agg(
+                ds, ["lm", "node"], {"dist": ("dist", "min")}, n_parts=n_parts
+            )
+            .map_batches(clean, batch_format="pyarrow")
+            .materialize()
         )
+
+    sym = right_size(edges.map_batches(edge_rows, batch_format="pyarrow").materialize())
+    dist = min_dist(seed_ds)
+    for _ in range(rounds):
+        unioned = sym.union(dist.map_batches(dist_rows, batch_format="pyarrow"))
         msgs = coarse_group_apply(
             unioned, "key", messages, n_parts=n_parts, batch_format="pyarrow"
         )
-        dist = right_size(
-            coarse_groupby_agg(
-                msgs.union(dist),
-                ["node"],
-                {"dist": ("dist", "min")},
-                n_parts=n_parts,
-            )
-            .map_batches(
-                lambda b: (
-                    pa.table(
-                        {
-                            "node": b.column("node").cast(pa.int64()),
-                            "dist": b.column("dist").cast(pa.int64()),
-                        }
-                    )
-                    if b.num_rows and "node" in b.column_names
-                    else dist_schema.empty_table()
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
+        dist = min_dist(msgs.union(dist))
     return dist
+
+
+def bfs_hops(edges, seeds, rounds: int = 6, n_parts=None):
+    """Fixed-round breadth-first hop distances from a seed set (the
+    bounded-iteration contract shared with the repo's 16-round PageRank
+    and 12-round k-core: a fixpoint is stable, so the unrolled SQL twin
+    matches whether or not the relaxation converged).
+
+    Inputs: `edges` with (u, v) int64 rows (undirected, distinct),
+    `seeds` with a `node` int64 column. Output: (node, dist) for nodes
+    within `rounds` hops (isolated seeds included, dist 0). `_relax`
+    with unit weights and one shared landmark."""
+    out = _relax(edges, seeds, rounds, n_parts, weighted=False, per_landmark=False)
+    return out.drop_columns(["lm"])
+
+
+def weighted_hops(edges, seeds, rounds: int = 6, n_parts=None):
+    """Fixed-round single-source-set shortest paths (Bellman-Ford,
+    min-plus semiring) over an undirected weighted edge list — the
+    weighted sibling of `bfs_hops` (reference analogue: the bounded
+    16-iteration PageRank contract, wikidatagraph.py:140-156; distances
+    generalize hop counts exactly as rank mass generalizes reachability).
+
+    Inputs: `edges` with (u, v, w) int64 rows (w >= 0, distinct pairs),
+    `seeds` with a `node` int64 column. Output: (node, dist) rows where
+    dist is the cheapest path cost found within `rounds` relaxation
+    rounds (isolated seeds at dist 0). Integer weights keep the unrolled
+    SQL twin exact whether or not the relaxation converged. `_relax`
+    with the `w` column and one shared landmark."""
+    out = _relax(edges, seeds, rounds, n_parts, weighted=True, per_landmark=False)
+    return out.drop_columns(["lm"])
+
+
+def multi_source_hops(edges, seeds, rounds: int = 4, n_parts=None):
+    """Per-landmark fixed-round BFS: (lm, node, dist) rows for every
+    landmark in `seeds` (a `node` int64 column) — the building block for
+    landmark/pivot distance sketches and closeness-centrality estimates
+    (Potamias et al. CIKM 2009). `_relax` with unit weights and each
+    seed its own landmark."""
+    return _relax(edges, seeds, rounds, n_parts, weighted=False, per_landmark=True)
 
 
 def degree_assortativity(edges, n_parts=None):
@@ -577,15 +603,6 @@ def degree_assortativity(edges, n_parts=None):
 
     from opentapioca_ray.stages.exchange import coarse_groupby_agg, right_size
     from opentapioca_ray.stages.metablocking import _attach_node_stats
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return _EDGE_SCHEMA.empty_table()
-        u = batch.column("u").cast(pa.int64()).combine_chunks()
-        v = batch.column("v").cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {"u": pa.concat_arrays([u, v]), "v": pa.concat_arrays([v, u])}
-        )
 
     sym = right_size(
         edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
@@ -720,15 +737,6 @@ def hll_ball_sketches(edges, rounds: int = 3, n_parts=None):
     state_schema = pa.schema(
         [("node", pa.int64()), ("reg", pa.int64()), ("rho", pa.int64())]
     )
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return _EDGE_SCHEMA.empty_table()
-        u = batch.column("u").cast(pa.int64()).combine_chunks()
-        v = batch.column("v").cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {"u": pa.concat_arrays([u, v]), "v": pa.concat_arrays([v, u])}
-        )
 
     edges = edges.materialize()
     sym = right_size(
@@ -907,457 +915,6 @@ def hll_ball_sketches(edges, rounds: int = 3, n_parts=None):
     return coarse_group_apply(state, "node", estimate, n_parts=n_parts)
 
 
-def _sssp_kernel(
-    u: np.ndarray,
-    v: np.ndarray,
-    w: np.ndarray,
-    seeds: np.ndarray,
-    rounds: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """In-memory fixed-round Bellman-Ford (min-plus) relaxation over an
-    undirected weighted edge list. Returns (node, dist) for every node
-    whose distance settled within `rounds` relaxations (isolated seeds
-    included at dist 0). Weights must be nonnegative int64."""
-    INF = np.int64(2**62)
-    nodes = np.unique(np.concatenate([u, v, seeds]))
-    dist = np.full(len(nodes), INF, dtype=np.int64)
-    dist[np.searchsorted(nodes, np.unique(seeds))] = 0
-    iu = np.searchsorted(nodes, u)
-    iv = np.searchsorted(nodes, v)
-    for _ in range(rounds):
-        nd = dist.copy()
-        src = dist[iv]
-        ok = src < INF  # never add a weight to the INF sentinel
-        np.minimum.at(nd, iu[ok], src[ok] + w[ok])
-        src = dist[iu]
-        ok = src < INF
-        np.minimum.at(nd, iv[ok], src[ok] + w[ok])
-        if (nd == dist).all():
-            break
-        dist = nd
-    reached = dist < INF
-    return nodes[reached], dist[reached]
-
-
-def weighted_hops(
-    edges,
-    seeds,
-    rounds: int = 6,
-    local_threshold: int = 2_000_000,
-    n_parts=None,
-):
-    """Fixed-round single-source-set shortest paths (Bellman-Ford,
-    min-plus semiring) over an undirected weighted edge list — the
-    weighted sibling of `bfs_hops` (reference analogue: the bounded
-    16-iteration PageRank contract, wikidatagraph.py:140-156; distances
-    generalize hop counts exactly as rank mass generalizes reachability).
-
-    Inputs: `edges` with (u, v, w) int64 rows (w >= 0, distinct pairs),
-    `seeds` with a `node` int64 column. Output: (node, dist) rows where
-    dist is the cheapest path cost found within `rounds` relaxation
-    rounds (isolated seeds at dist 0). Integer weights keep the unrolled
-    SQL twin exact whether or not the relaxation converged.
-
-    Distributed shape per round, identical to bfs_hops: ONE reduce-side
-    lookup exchange keyed by edge source (dist rows ride the same
-    shuffle) + ONE coarse min-groupby over messages ∪ current dists;
-    graphs under `local_threshold` edges collapse to the numpy kernel
-    (`local_threshold=0` forces the shuffle rounds — tests do)."""
-    from opentapioca_ray.stages.exchange import (
-        coarse_group_apply,
-        coarse_groupby_agg,
-        right_size,
-    )
-
-    dist_schema = pa.schema([("node", pa.int64()), ("dist", pa.int64())])
-    union_schema = pa.schema(
-        [
-            ("key", pa.int64()),
-            ("v", pa.int64()),
-            ("w", pa.int64()),
-            ("d", pa.int64()),
-            ("__is_dist", pa.bool_()),
-        ]
-    )
-    wedge_schema = pa.schema(
-        [("u", pa.int64()), ("v", pa.int64()), ("w", pa.int64())]
-    )
-
-    def seed_dist(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return dist_schema.empty_table()
-        return pa.table(
-            {
-                "node": batch.column("node").cast(pa.int64()),
-                "dist": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            }
-        )
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return wedge_schema.empty_table()
-        u = batch.column("u").cast(pa.int64()).combine_chunks()
-        v = batch.column("v").cast(pa.int64()).combine_chunks()
-        w = batch.column("w").cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {
-                "u": pa.concat_arrays([u, v]),
-                "v": pa.concat_arrays([v, u]),
-                "w": pa.concat_arrays([w, w]),
-            }
-        )
-
-    edges = edges.materialize()
-    if edges.count() <= local_threshold:
-
-        def local(t: pa.Table, s: pa.Table) -> pa.Table:
-            if t.num_rows and "u" in t.column_names:
-                eu = t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-                ev = t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-                ew = t.column("w").to_numpy(zero_copy_only=False).astype(np.int64)
-            else:
-                eu = ev = ew = np.zeros(0, dtype=np.int64)
-            sn = (
-                s.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
-                if s.num_rows and "node" in s.column_names
-                else np.zeros(0, dtype=np.int64)
-            )
-            if len(sn) == 0:
-                return dist_schema.empty_table()
-            nodes, dist = _sssp_kernel(eu, ev, ew, sn, rounds)
-            return pa.table({"node": pa.array(nodes), "dist": pa.array(dist)})
-
-        import ray as _ray
-
-        seed_tbl = pa.concat_tables(
-            list(
-                arrow_blocks(
-                    seeds.map_batches(seed_dist, batch_format="pyarrow")
-                )
-            )
-        )
-        seed_ref = _ray.put(seed_tbl)
-        return edges.repartition(1).map_batches(
-            lambda t: local(t, _ray.get(seed_ref)),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-
-    sym = right_size(
-        edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
-    )
-    dist = right_size(
-        seeds.map_batches(seed_dist, batch_format="pyarrow").materialize()
-    )
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return union_schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch.column("u").cast(pa.int64()),
-                "v": batch.column("v").cast(pa.int64()),
-                "w": batch.column("w").cast(pa.int64()),
-                "d": pa.nulls(n, pa.int64()),
-                "__is_dist": pa.array(np.zeros(n, dtype=bool)),
-            }
-        ).cast(union_schema)
-
-    def dist_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return union_schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch.column("node").cast(pa.int64()),
-                "v": pa.nulls(n, pa.int64()),
-                "w": pa.nulls(n, pa.int64()),
-                "d": batch.column("dist").cast(pa.int64()),
-                "__is_dist": pa.array(np.ones(n, dtype=bool)),
-            }
-        ).cast(union_schema)
-
-    def messages(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__is_dist" not in t.column_names:
-            return dist_schema.empty_table()
-        isd = t.column("__is_dist").to_numpy(zero_copy_only=False).astype(bool)
-        ek = t.column("key").to_numpy(zero_copy_only=False)[~isd]
-        ev = t.column("v").to_numpy(zero_copy_only=False)[~isd]
-        ew = t.column("w").to_numpy(zero_copy_only=False)[~isd]
-        dk = t.column("key").to_numpy(zero_copy_only=False)[isd]
-        dd = t.column("d").to_numpy(zero_copy_only=False)[isd]
-        if len(ek) == 0 or len(dk) == 0:
-            return dist_schema.empty_table()
-        o = np.argsort(dk)
-        dk, dd = dk[o], dd[o]
-        idx = np.searchsorted(dk, ek)
-        idx_c = np.clip(idx, 0, len(dk) - 1)
-        hit = dk[idx_c] == ek
-        return pa.table(
-            {
-                "node": pa.array(ev[hit].astype(np.int64)),
-                "dist": pa.array(
-                    (dd[idx_c[hit]] + ew[hit]).astype(np.int64)
-                ),
-            }
-        )
-
-    for _ in range(rounds):
-        unioned = sym.map_batches(edge_rows, batch_format="pyarrow").union(
-            dist.map_batches(dist_rows, batch_format="pyarrow")
-        )
-        msgs = coarse_group_apply(
-            unioned, "key", messages, n_parts=n_parts, batch_format="pyarrow"
-        )
-        dist = right_size(
-            coarse_groupby_agg(
-                msgs.union(dist),
-                ["node"],
-                {"dist": ("dist", "min")},
-                n_parts=n_parts,
-            )
-            .map_batches(
-                lambda b: (
-                    pa.table(
-                        {
-                            "node": b.column("node").cast(pa.int64()),
-                            "dist": b.column("dist").cast(pa.int64()),
-                        }
-                    )
-                    if b.num_rows and "node" in b.column_names
-                    else dist_schema.empty_table()
-                ),
-                batch_format="pyarrow",
-            )
-            .materialize()
-        )
-    return dist
-
-
-def multi_source_hops(
-    edges,
-    seeds,
-    rounds: int = 4,
-    local_threshold: int = 2_000_000,
-    n_parts=None,
-):
-    """Per-landmark fixed-round BFS: (lm, node, dist) rows for every
-    landmark in `seeds` (a `node` int64 column) — the building block for
-    landmark/pivot distance sketches and closeness-centrality estimates
-    (Potamias et al. CIKM 2009). Same bounded-iteration + exchange shape
-    as `bfs_hops`, but relaxation state is keyed (lm, node): dist rows
-    ride the edge-source exchange, the message kernel expands EVERY
-    landmark row co-located with an edge source (multi-match searchsorted
-    ranges, no per-row loop), and the min-groupby keys on (lm, node).
-    Small graphs collapse to a per-landmark vectorized numpy kernel
-    (`local_threshold=0` forces the distributed rounds — tests do)."""
-    from opentapioca_ray.stages.exchange import (
-        coarse_group_apply,
-        coarse_groupby_agg,
-        right_size,
-    )
-
-    dist_schema = pa.schema(
-        [("lm", pa.int64()), ("node", pa.int64()), ("dist", pa.int64())]
-    )
-    union_schema = pa.schema(
-        [
-            ("key", pa.int64()),
-            ("v", pa.int64()),
-            ("lm", pa.int64()),
-            ("d", pa.int64()),
-            ("__is_dist", pa.bool_()),
-        ]
-    )
-
-    def seed_dist(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return dist_schema.empty_table()
-        node = batch.column("node").cast(pa.int64())
-        return pa.table(
-            {
-                "lm": node,
-                "node": node,
-                "dist": pa.array(np.zeros(batch.num_rows, dtype=np.int64)),
-            }
-        )
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return _EDGE_SCHEMA.empty_table()
-        u = batch.column("u").cast(pa.int64()).combine_chunks()
-        v = batch.column("v").cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {"u": pa.concat_arrays([u, v]), "v": pa.concat_arrays([v, u])}
-        )
-
-    edges = edges.materialize()
-    if edges.count() <= local_threshold:
-        import ray as _ray
-
-        seed_tbl = pa.concat_tables(
-            list(
-                arrow_blocks(
-                    seeds.map_batches(seed_dist, batch_format="pyarrow")
-                )
-            )
-        )
-        seed_ref = _ray.put(seed_tbl)
-
-        def local(t: pa.Table, s: pa.Table) -> pa.Table:
-            eu = (
-                t.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
-                if t.num_rows and "u" in t.column_names
-                else np.zeros(0, dtype=np.int64)
-            )
-            ev = (
-                t.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
-                if t.num_rows and "u" in t.column_names
-                else np.zeros(0, dtype=np.int64)
-            )
-            lms = (
-                s.column("lm").to_numpy(zero_copy_only=False).astype(np.int64)
-                if s.num_rows
-                else np.zeros(0, dtype=np.int64)
-            )
-            if len(lms) == 0:
-                return dist_schema.empty_table()
-            nodes = np.unique(np.concatenate((eu, ev, lms)))
-            iu = np.searchsorted(nodes, eu)
-            iv = np.searchsorted(nodes, ev)
-            # symmetrize once for the local kernel
-            iu, iv = (
-                np.concatenate((iu, iv)),
-                np.concatenate((iv, iu)),
-            )
-            big = np.int64(1 << 62)
-            out_lm, out_node, out_dist = [], [], []
-            for lm in lms:
-                d = np.full(len(nodes), big, dtype=np.int64)
-                d[np.searchsorted(nodes, lm)] = 0
-                for _ in range(rounds):
-                    cand = d[iu] + 1
-                    nd = d.copy()
-                    np.minimum.at(nd, iv, cand)
-                    if np.array_equal(nd, d):
-                        break
-                    d = nd
-                hit = d < big
-                out_lm.append(np.full(int(hit.sum()), lm, dtype=np.int64))
-                out_node.append(nodes[hit])
-                out_dist.append(d[hit])
-            return pa.table(
-                {
-                    "lm": pa.array(np.concatenate(out_lm)),
-                    "node": pa.array(np.concatenate(out_node)),
-                    "dist": pa.array(np.concatenate(out_dist)),
-                }
-            ).cast(dist_schema)
-
-        return edges.repartition(1).map_batches(
-            lambda t: local(t, _ray.get(seed_ref)),
-            batch_format="pyarrow",
-            batch_size=None,
-        )
-
-    sym = right_size(
-        edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
-    )
-    dist = right_size(
-        seeds.map_batches(seed_dist, batch_format="pyarrow").materialize()
-    )
-
-    def edge_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return union_schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch.column("u").cast(pa.int64()),
-                "v": batch.column("v").cast(pa.int64()),
-                "lm": pa.nulls(n, pa.int64()),
-                "d": pa.nulls(n, pa.int64()),
-                "__is_dist": pa.array(np.zeros(n, dtype=bool)),
-            }
-        ).cast(union_schema)
-
-    def dist_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "node" not in batch.column_names:
-            return union_schema.empty_table()
-        n = batch.num_rows
-        return pa.table(
-            {
-                "key": batch.column("node").cast(pa.int64()),
-                "v": pa.nulls(n, pa.int64()),
-                "lm": batch.column("lm").cast(pa.int64()),
-                "d": batch.column("dist").cast(pa.int64()),
-                "__is_dist": pa.array(np.ones(n, dtype=bool)),
-            }
-        ).cast(union_schema)
-
-    def messages(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__is_dist" not in t.column_names:
-            return dist_schema.empty_table()
-        isd = t.column("__is_dist").to_numpy(zero_copy_only=False).astype(bool)
-        ek = t.column("key").to_numpy(zero_copy_only=False)[~isd]
-        ev = t.column("v").to_numpy(zero_copy_only=False)[~isd]
-        dk = t.column("key").to_numpy(zero_copy_only=False)[isd]
-        dl = t.column("lm").to_numpy(zero_copy_only=False)[isd]
-        dd = t.column("d").to_numpy(zero_copy_only=False)[isd]
-        if len(ek) == 0 or len(dk) == 0:
-            return dist_schema.empty_table()
-        o = np.argsort(dk, kind="stable")
-        dk, dl, dd = dk[o], dl[o], dd[o]
-        lo = np.searchsorted(dk, ek, side="left")
-        hi = np.searchsorted(dk, ek, side="right")
-        cnt = hi - lo
-        total = int(cnt.sum())
-        if total == 0:
-            return dist_schema.empty_table()
-        rep = np.repeat(np.arange(len(ek)), cnt)
-        idx = np.repeat(lo, cnt) + (
-            np.arange(total) - np.repeat(np.cumsum(cnt) - cnt, cnt)
-        )
-        return pa.table(
-            {
-                "lm": pa.array(dl[idx].astype(np.int64)),
-                "node": pa.array(ev[rep].astype(np.int64)),
-                "dist": pa.array((dd[idx] + 1).astype(np.int64)),
-            }
-        ).cast(dist_schema)
-
-    def clean(b: pa.Table) -> pa.Table:
-        if b.num_rows == 0 or "node" not in b.column_names:
-            return dist_schema.empty_table()
-        return pa.table(
-            {
-                "lm": b.column("lm").cast(pa.int64()),
-                "node": b.column("node").cast(pa.int64()),
-                "dist": b.column("dist").cast(pa.int64()),
-            }
-        ).cast(dist_schema)
-
-    for _ in range(rounds):
-        unioned = sym.map_batches(edge_rows, batch_format="pyarrow").union(
-            dist.map_batches(dist_rows, batch_format="pyarrow")
-        )
-        msgs = coarse_group_apply(
-            unioned, "key", messages, n_parts=n_parts, batch_format="pyarrow"
-        )
-        dist = right_size(
-            coarse_groupby_agg(
-                msgs.union(dist),
-                ["lm", "node"],
-                {"dist": ("dist", "min")},
-                n_parts=n_parts,
-            )
-            .map_batches(clean, batch_format="pyarrow")
-            .materialize()
-        )
-    return dist
-
-
 def stress_centrality(
     edges,
     seeds,
@@ -1386,15 +943,6 @@ def stress_centrality(
     from .exchange import coarse_group_apply, default_n_parts
 
     out_schema = pa.schema([("node", pa.int64()), ("stress", pa.int64())])
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or "u" not in batch.column_names:
-            return _EDGE_SCHEMA.empty_table()
-        u = batch.column("u").cast(pa.int64()).combine_chunks()
-        v = batch.column("v").cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {"u": pa.concat_arrays([u, v]), "v": pa.concat_arrays([v, u])}
-        )
 
     sym = edges.map_batches(both_dirs, batch_format="pyarrow").materialize()
     n_edges = sym.count()

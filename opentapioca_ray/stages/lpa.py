@@ -22,6 +22,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.graphops import both_dirs
 
 _LABELS_SCHEMA = pa.schema([("node", pa.int64()), ("label", pa.int64())])
 
@@ -86,8 +87,6 @@ def _argmax_partition(df: pd.DataFrame) -> pd.DataFrame:
 def label_propagation(
     edges_ds,
     rounds: int = 4,
-    u_column: str = "u",
-    v_column: str = "v",
     n_parts: int | None = None,
     label_broadcast_limit: int = 5_000_000,
     edges_distinct_directed: bool = False,
@@ -111,24 +110,12 @@ def label_propagation(
         right_size,
     )
 
-    dir_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or u_column not in batch.column_names:
-            return dir_schema.empty_table()
-        u = batch.column(u_column).cast(pa.int64()).combine_chunks()
-        v = batch.column(v_column).cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {
-                "src": pa.concat_arrays([u, v]),
-                "dst": pa.concat_arrays([v, u]),
-            }
-        )
-
     if edges_distinct_directed:
         directed = edges_ds
     else:
-        directed = edges_ds.map_batches(both_dirs, batch_format="pyarrow")
+        directed = edges_ds.map_batches(
+            both_dirs, batch_format="pyarrow", fn_kwargs={"names": ("src", "dst")}
+        )
         # distinct directed edges (parallel edges would double votes)
         directed = right_size(
             coarse_groupby_agg(

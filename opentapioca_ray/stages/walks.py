@@ -39,6 +39,7 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.graphops import both_dirs
 
 _WALK_SCHEMA = pa.schema(
     [("walker", pa.int64()), ("step", pa.int64()), ("node", pa.int64())]
@@ -100,8 +101,6 @@ def _rank_adjacency(directed, n_parts: int):
 def random_walks(
     edges_ds,
     steps: int = 4,
-    u_column: str = "u",
-    v_column: str = "v",
     n_parts: int | None = None,
     mode: str = "auto",
     pos_broadcast_limit: int = 2_000_000,
@@ -128,23 +127,16 @@ def random_walks(
         right_size,
     )
 
-    dir_schema = pa.schema([("src", pa.int64()), ("dst", pa.int64())])
-
-    def both_dirs(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or u_column not in batch.column_names:
-            return dir_schema.empty_table()
-        u = batch.column(u_column).cast(pa.int64()).combine_chunks()
-        v = batch.column(v_column).cast(pa.int64()).combine_chunks()
-        return pa.table(
-            {"src": pa.concat_arrays([u, v]), "dst": pa.concat_arrays([v, u])}
-        )
-
     if edges_distinct_directed:
         directed = edges_ds
     else:
         directed = right_size(
             coarse_groupby_agg(
-                edges_ds.map_batches(both_dirs, batch_format="pyarrow"),
+                edges_ds.map_batches(
+                    both_dirs,
+                    batch_format="pyarrow",
+                    fn_kwargs={"names": ("src", "dst")},
+                ),
                 ["src", "dst"],
                 {"__n": ("src", "size")},
                 n_parts=n_parts,

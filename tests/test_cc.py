@@ -23,22 +23,24 @@ def test_local_union_find():
         [(7, 7)],
     ],
 )
-def test_distributed_matches_local(ray_session, edges):
+def test_distributed_matches_local(ray_session, monkeypatch, edges):
     import ray.data
 
+    from opentapioca_ray.stages import cc
+
     ds = ray.data.from_items([{"u": u, "v": v} for u, v in edges])
-    # local_threshold=0 forces the large-star/small-star shuffle path
-    got = {
-        r["node"]: r["component"]
-        for r in connected_components(ds, local_threshold=0).take_all()
-    }
     want = connected_components_local(edges)
-    assert got == want
-    # scale-adaptive local path must agree
+    # scale-adaptive local path
     got_local = {
         r["node"]: r["component"] for r in connected_components(ds).take_all()
     }
     assert got_local == want
+    # a zero edge limit forces the large-star/small-star shuffle path
+    monkeypatch.setattr(cc, "_LOCAL_EDGE_LIMIT", 0)
+    got = {
+        r["node"]: r["component"] for r in connected_components(ds).take_all()
+    }
+    assert got == want
 
 
 def _random_graph(seed: int) -> list[tuple[int, int]]:

@@ -67,10 +67,11 @@ def test_sparsify_edges_keeps_mutual_knn(ray_session):
     assert got == {(1, 3), (2, 3), (1, 4), (1, 5)}
 
 
-def test_multi_source_hops_path_graph(ray_session):
+def test_multi_source_hops_path_graph(ray_session, monkeypatch):
     import pyarrow as pa
     import ray
 
+    from opentapioca_ray.stages import cc
     from opentapioca_ray.stages.graphops import multi_source_hops
 
     # path 1-2-3-4-5, landmarks 1 and 5, 3 rounds
@@ -78,9 +79,10 @@ def test_multi_source_hops_path_graph(ray_session):
         pa.table({"u": [1, 2, 3, 4], "v": [2, 3, 4, 5]})
     )
     seeds = ray.data.from_arrow(pa.table({"node": [1, 5]}))
-    for thresh in (2_000_000, 0):  # local kernel AND forced-shuffle rounds
+    for limit in (cc._LOCAL_EDGE_LIMIT, 0):  # local kernel AND exchange rounds
+        monkeypatch.setattr(cc, "_LOCAL_EDGE_LIMIT", limit)
         out = (
-            multi_source_hops(edges, seeds, rounds=3, local_threshold=thresh)
+            multi_source_hops(edges, seeds, rounds=3)
             .to_pandas()
             .set_index(["lm", "node"])["dist"]
             .to_dict()

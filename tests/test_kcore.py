@@ -41,9 +41,10 @@ def test_peel_kernel_matches_reference():
     assert got == want
 
 
-def test_distributed_matches_local(ray_session):
+def test_distributed_matches_local(ray_session, monkeypatch):
     import ray.data
 
+    from opentapioca_ray.stages import cc
     from opentapioca_ray.stages.graphops import kcore_degrees
 
     rng = np.random.default_rng(2)
@@ -55,11 +56,12 @@ def test_distributed_matches_local(ray_session):
             seen.add((a, b))
             rows.append({"u": a, "v": b})
 
-    def run(thresh):
+    def run():
         ds = ray.data.from_items(rows).repartition(4)
-        out = kcore_degrees(
-            ds, k=3, rounds=6, local_threshold=thresh
-        ).to_pandas()
+        out = kcore_degrees(ds, k=3, rounds=6).to_pandas()
         return dict(zip(out["node"], out["degree"]))
 
-    assert run(10**6) == run(0)
+    got_local = run()
+    monkeypatch.setattr(cc, "_LOCAL_EDGE_LIMIT", 0)  # the exchange rounds
+    assert got_local == run()
+    assert got_local  # the 3-core is not empty

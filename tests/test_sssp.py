@@ -18,9 +18,17 @@ def _ref_sssp(edges, seeds, rounds):
     return dist
 
 
-def test_sssp_kernel_matches_reference():
-    from opentapioca_ray.stages.graphops import _sssp_kernel
+def _sssp_kernel(u, v, w, seeds, rounds):
+    """The shared hop kernel with one landmark."""
+    from opentapioca_ray.stages.graphops import _hops_kernel
 
+    _, nodes, dist = _hops_kernel(
+        u, v, w, np.zeros(len(seeds), np.int64), seeds, rounds
+    )
+    return nodes, dist
+
+
+def test_sssp_kernel_matches_reference():
     rng = np.random.default_rng(11)
     u = rng.integers(0, 200, 250).astype(np.int64)
     v = (rng.integers(0, 200, 250) + 500).astype(np.int64)
@@ -35,8 +43,6 @@ def test_sssp_kernel_matches_reference():
 
 
 def test_sssp_prefers_cheap_multi_hop_over_heavy_direct():
-    from opentapioca_ray.stages.graphops import _sssp_kernel
-
     # 0 -10-> 3 direct, but 0 -1-> 1 -1-> 2 -1-> 3 is cheaper
     u = np.array([0, 0, 1, 2], dtype=np.int64)
     v = np.array([3, 1, 2, 3], dtype=np.int64)
@@ -47,8 +53,6 @@ def test_sssp_prefers_cheap_multi_hop_over_heavy_direct():
 
 
 def test_sssp_isolated_seed_kept():
-    from opentapioca_ray.stages.graphops import _sssp_kernel
-
     nodes, dist = _sssp_kernel(
         np.array([1], dtype=np.int64),
         np.array([2], dtype=np.int64),
@@ -59,9 +63,10 @@ def test_sssp_isolated_seed_kept():
     assert dict(zip(nodes.tolist(), dist.tolist())) == {99: 0}
 
 
-def test_distributed_matches_local(ray_session):
+def test_distributed_matches_local(ray_session, monkeypatch):
     import ray.data
 
+    from opentapioca_ray.stages import cc
     from opentapioca_ray.stages.graphops import weighted_hops
 
     rng = np.random.default_rng(5)
@@ -74,15 +79,14 @@ def test_distributed_matches_local(ray_session):
             rows.append({"u": a, "v": b, "w": int(rng.integers(1, 7))})
     seed_rows = [{"node": int(n)} for n in range(0, 80, 17)] + [{"node": 9999}]
 
-    def run(thresh):
+    def run():
         ds = ray.data.from_items(rows).repartition(4)
         sd = ray.data.from_items(seed_rows).repartition(2)
-        out = weighted_hops(
-            ds, sd, rounds=5, local_threshold=thresh
-        ).to_pandas()
+        out = weighted_hops(ds, sd, rounds=5).to_pandas()
         return dict(zip(out["node"], out["dist"]))
 
-    got_local = run(10**6)
-    got_dist = run(0)
+    got_local = run()
+    monkeypatch.setattr(cc, "_LOCAL_EDGE_LIMIT", 0)  # the exchange rounds
+    got_dist = run()
     assert got_local == got_dist
     assert got_local[9999] == 0  # isolated seed survives both paths

@@ -5,11 +5,12 @@ row-count + schema + order-insensitive value hash."""
 from __future__ import annotations
 
 import sys
+from pathlib import Path
 
 import duckdb
 import pandas as pd
 
-sys.path.insert(0, "/root/repo")
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 TABLES = [
     "region",
