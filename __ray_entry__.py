@@ -3577,7 +3577,7 @@ def _media_docs(sf_dir: str):
 
 def _q_multimodal_meta(sf_dir: str):
     """Multimodal plumbing: documents -> synthetic binary media table ->
-    image-decode actor stage (deterministic fake decode; geometry is a pure
+    image-decode stage on tasks (deterministic fake decode; geometry is a pure
     function of payload length) -> typed metadata."""
     from opentapioca_ray.stages.multimodal import decode_images, synthesize_media
 
@@ -3588,11 +3588,11 @@ def _q_multimodal_meta(sf_dir: str):
 
 
 def _q_audio_energy(sf_dir: str):
-    """Audio-feature actor stage over the synthetic media table, flattened
+    """Audio-feature stage over the synthetic media table, flattened
     to (media_id, window, rms) rows. The payload is the utf-8 bytes of the
     (pure-ASCII) document text, so DuckDB recomputes every per-window RMS
     from `ord()` arithmetic over the same characters — an exact value
-    oracle for the binary-column actor stage."""
+    oracle for the binary-column stage."""
     import numpy as np
     import pyarrow as pa
     import pyarrow.compute as pc
@@ -3618,7 +3618,7 @@ def _q_audio_energy(sf_dir: str):
 
 
 def _q_frame_samples(sf_dir: str):
-    """Video frame-sampling actor stage: payload -> every-2nd 1KiB frame.
+    """Video frame-sampling stage: payload -> every-2nd 1KiB frame.
     The payload is utf-8 of pure-ASCII text, so `sha256(substr(text, ...))`
     in DuckDB reproduces each frame's sha256 exactly."""
     from opentapioca_ray.stages.multimodal import sample_frames, synthesize_media

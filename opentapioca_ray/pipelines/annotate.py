@@ -1,8 +1,8 @@
 """Entity-annotation pipeline: the reference's online `/api/annotate` path
 (opentapioca/app.py:68-81, classifier.py:73-81,310-339) as batch dataflow:
 
-documents -> TaggerStage (tasks or an actor pool; trie + BOW + pagerank
-             broadcast)
+documents -> TaggerStage on tasks (one prebuilt trie + BOW + pagerank
+             state, broadcast once)
           -> the classify kernel over whole documents
              (stages/classify.py:per_document_apply) [similarity graph +
              feature propagation + linear decision + argmax>0]: one
@@ -42,52 +42,27 @@ def tag_documents(
     pagerank: np.ndarray,
     doc_id_column: str = "doc_id",
     text_column: str = "text",
-    concurrency=None,
-    mode: str = "auto",
 ):
-    """documents -> flat (mention, tag) rows; entity state broadcast once.
+    """documents -> flat (mention, tag) rows.
 
-    `actors` is for large dictionaries (the reference's full Wikidata
-    surface-form index): the catalog + int-code automaton + tag tables are
-    built ONCE in a single Ray task (`build_tagger_state`) and every actor
-    of the pool adopts the shared object-store copy — the dictionary
-    compile is paid per JOB, not per actor. `tasks` runs on the
-    already-warm worker pool rebuilding the (small) state per batch (right
-    where actor pool spin-up dominates). `auto` picks tasks below 10k
-    entities."""
+    The tagger state (catalog, compiled automaton, BOW/pagerank models and
+    tag tables, `build_tagger_state`) is built ONCE on the driver, where
+    `entities` already lives, and `ray.put` once; the batches are tagged
+    on tasks, each worker process resolving the state once
+    (`stages/pairs._resolve_cached`) as `score_pairs` does. No actor pool:
+    a pool would hold CPUs that its upstream read tasks wait for."""
     import ray
 
     from opentapioca_ray.stages.tagger import build_tagger_state
 
-    if mode == "auto":
-        mode = "tasks" if entities.num_rows < 10_000 else "actors"
-    if mode == "tasks":
-        kwargs = {
-            "entities_ref": ray.put(entities),
-            "bow_ref": ray.put(bow_counts),
-            "pagerank_ref": ray.put(pagerank),
-            "doc_id_column": doc_id_column,
-            "text_column": text_column,
-        }
+    state_ref = ray.put(build_tagger_state(entities, bow_counts, pagerank))
 
-        def tag_batch(batch: pa.Table) -> pa.Table:
-            return TaggerStage(**kwargs)(batch)
+    def tag_batch(batch: pa.Table) -> pa.Table:
+        return TaggerStage(
+            state_ref=state_ref, doc_id_column=doc_id_column, text_column=text_column
+        )(batch)
 
-        return docs_ds.map_batches(tag_batch, batch_format="pyarrow")
-    build_remote = ray.remote(num_cpus=1)(build_tagger_state)
-    state_ref = build_remote.remote(
-        ray.put(entities), bow_counts, pagerank
-    )
-    return docs_ds.map_batches(
-        TaggerStage,
-        fn_constructor_kwargs={
-            "state_ref": state_ref,
-            "doc_id_column": doc_id_column,
-            "text_column": text_column,
-        },
-        batch_format="pyarrow",
-        concurrency=concurrency or (1, 8),
-    )
+    return docs_ds.map_batches(tag_batch, batch_format="pyarrow")
 
 
 def annotate(

@@ -270,30 +270,10 @@ def _driver_id_pairs(tables, survivors, max_block_size: int, window: int):
     return rd.from_arrow(table)
 
 
-def build_id_pairs(
-    files_ds,
-    num_perm=128,
-    bands=32,
-    shingle_k=3,
-    max_block_size=64,
-    window=8,
-    mode: str = "auto",
-):
-    """Slim blocking + pair generation: the band shuffle moves only
-    (block_key, file_id, sig_head); candidate pairs are deduplicated across
-    bands BEFORE any payload is attached or scored.
-
-    Scale-adaptive. Driver regime: the band rows are materialized in ONE
-    Ray Data execution; the singleton-key count (`surviving_keys`) reads
-    only their key column, and its surviving-row count decides the regime
-    with no further execution. At most `_DRIVER_PAIRS_LIMIT` surviving
-    rows are read back, filtered block by block, and paired vectorized on
-    the driver (no shuffle). Above that, or with `mode="shuffle"`, the
-    groupby(block_key) + groupby(pair) coarse shuffles run distributed.
-    Both regimes pair each band block with `stages/pairs.block_pairs`."""
-    from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
-
-    blocks = files_ds.map_batches(
+def _band_rows(files_ds, num_perm, bands, shingle_k):
+    """The slim u64 band rows (block_key, file_id, sig_head) of `files_ds`,
+    as a lazy map."""
+    return files_ds.map_batches(
         lambda b: blocking_batch(
             b,
             id_column="file_id",
@@ -307,41 +287,50 @@ def build_id_pairs(
         ),
         batch_format="pyarrow",
     )
-    if mode == "auto":
-        # The auto decision must itself be cheap. Deciding from an exact
-        # post-prefilter count pays the prefilter first — and above ITS
-        # driver regime (DRIVER_COMBINE_LIMIT band rows) that is a full
-        # distributed groupby(block_key) count over every band row:
-        # measured 507 s at 82M band rows (2.56M files x 32 bands) vs 43 s
-        # for the entire forced-shuffle job. So above that volume go
-        # straight to the shuffle path with NO prefilter (the coarse pair
-        # kernel drops singletons vectorized at ~zero cost — same
-        # reasoning as the forced-shuffle branch below); the band-row
-        # count is exact and free (blocking emits `bands` rows per file).
-        if files_ds.count() * bands > DRIVER_COMBINE_LIMIT:
-            mode = "shuffle"
-    if mode == "shuffle":
-        # Shuffle mode: NO singleton prefilter. The prefilter exists to
-        # shrink a per-key exchange, but the coarse pair kernel drops
-        # singleton blocks vectorized at ~zero cost — and the prefilter's
-        # own count is a full groupby(block_key) sort over every band row
-        # (5M distinct keys), strictly more expensive than the one
-        # coarse-partition sort (P distinct keys) it would be saving.
+
+
+def build_id_pairs(
+    files_ds,
+    num_perm=128,
+    bands=32,
+    shingle_k=3,
+    max_block_size=64,
+    window=8,
+):
+    """Slim blocking + pair generation: the band shuffle moves only
+    (block_key, file_id, sig_head); candidate pairs are deduplicated across
+    bands BEFORE any payload is attached or scored.
+
+    Scale-adaptive. Up to `DRIVER_COMBINE_LIMIT` band rows (files x bands,
+    known without an execution) the band rows are materialized in ONE Ray
+    Data execution and `_band_pairs` pairs them, on the driver up to
+    `_DRIVER_PAIRS_LIMIT` surviving rows. Above it the groupby(block_key) +
+    groupby(pair) coarse shuffles run distributed. Both regimes pair each
+    band block with `stages/pairs.block_pairs`."""
+    from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
+
+    blocks = _band_rows(files_ds, num_perm, bands, shingle_k)
+    if files_ds.count() * bands > DRIVER_COMBINE_LIMIT:
+        # No singleton prefilter above the driver volume: its own count
+        # would be a full distributed groupby(block_key) over every band
+        # row — measured 507 s at 82M band rows (2.56M files x 32 bands)
+        # vs 43 s for the entire forced-shuffle job — while the coarse
+        # pair kernel drops singleton blocks vectorized at ~zero cost.
         return _shuffle_id_pairs(blocks, max_block_size, window)
     blocks = blocks.materialize()
-    return _band_pairs(list(arrow_blocks(blocks)), blocks, mode, max_block_size, window)
+    return _band_pairs(list(arrow_blocks(blocks)), blocks, max_block_size, window)
 
 
-def _band_pairs(tables, bands_ds, mode: str, max_block_size: int, window: int):
+def _band_pairs(tables, bands_ds, max_block_size: int, window: int):
     """Pairs of MATERIALIZED band rows: `tables` are their blocks (read on
     the driver, no execution), `bands_ds` the dataset they came from. The
     singleton-key count decides the regime: driver pairing up to
-    `_DRIVER_PAIRS_LIMIT` surviving rows (or with `mode="driver"`), else a
-    distributed `keep_keys` filter of `bands_ds` and the shuffle pairing."""
+    `_DRIVER_PAIRS_LIMIT` surviving rows, else a distributed `keep_keys`
+    filter of `bands_ds` and the shuffle pairing."""
     from opentapioca_ray.stages.pairs import keep_keys, surviving_keys
 
     survivors, n_survivors = surviving_keys(tables)
-    if mode == "driver" or n_survivors <= _DRIVER_PAIRS_LIMIT:
+    if n_survivors <= _DRIVER_PAIRS_LIMIT:
         return _driver_id_pairs(tables, survivors, max_block_size, window)
     return _shuffle_id_pairs(keep_keys(bands_ds, survivors), max_block_size, window)
 
@@ -451,7 +440,7 @@ def _front_pass(files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size
     execution (`front_batch` over the materialized files) feeds both the
     corpus stats (computed only for a missing `idf`/`prior`) and the
     driver pair generation, read off the same materialized blocks — the
-    same outputs as `corpus_stats` + `build_id_pairs(mode="auto")` below
+    same outputs as `corpus_stats` + `build_id_pairs` up to
     `DRIVER_COMBINE_LIMIT` band rows. The stats rows, already on the
     driver, are summed by `sum_partials` (which picks its own regime and
     hands the sums back on the driver) and finished by `corpus_stats`'
@@ -481,7 +470,7 @@ def _front_pass(files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size
         idf = stats_idf if idf is None else idf
         prior = stats_prior if prior is None else prior
     pairs = _band_pairs(
-        band_tables, front.select_columns(_BAND_COLUMNS), "auto", max_block_size, window
+        band_tables, front.select_columns(_BAND_COLUMNS), max_block_size, window
     )
     return idf, prior, pairs
 
@@ -491,132 +480,139 @@ _DRIVER_ATTACH_LIMIT = 200_000
 # Telemetry for the scaling contract: every driver-side collect whose volume
 # is proportional to #pairs / #candidate-files bumps this counter (the
 # broadcast-small-side collects in corpus_stats are vocab-bounded
-# and exempt). The distributed paths (mode="shuffle", i.e. what
-# linkage_clusters(distributed=True) forces) must leave it untouched —
+# and exempt). The shuffle regimes that linkage_clusters(distributed=True)
+# forces (`_shuffle_id_pairs`, `_shuffle_attach`) must leave it untouched —
 # asserted in tests/test_distributed_modes.py.
 DRIVER_COLLECTS = {"pairs_proportional": 0}
 
 
-def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: str = "auto"):
+def attach_pair_tokens(pairs_ds, files_ds):
     """Reduce-side join: ship each candidate file's token prefix (packed as
-    one \\x1f string) to its pairs via union + groupby(file_id), one pass per
-    side.
+    one \\x1f string) to its pairs. None when there is no pair.
 
-    mode="driver" (small regime, <= _DRIVER_ATTACH_LIMIT pairs): candidate
-    ids come to the driver once for a broadcast `is_in` prefilter and a
-    vectorized dict join. mode="shuffle" (the 100 TB path): NOTHING
-    proportional to #pairs touches the driver — candidate token rows are
-    selected by a distributed semi-join on the slim pair-id column
+    Up to `_DRIVER_ATTACH_LIMIT` pairs (`_driver_attach`): candidate ids
+    come to the driver once for a broadcast `is_in` prefilter and a
+    vectorized dict join. Above it (`_shuffle_attach`, the 100 TB path):
+    NOTHING proportional to #pairs touches the driver — candidate token
+    rows are selected by a distributed semi-join on the slim pair-id column
     (stages/exchange.coarse_semi_join), then attached to both pair sides
     with coarse exchanges."""
-    import ray
-    import pyarrow.compute as pc
+    pairs_ds = pairs_ds.materialize()  # small: deduped candidate pairs
+    n_pairs = pairs_ds.count()
+    if n_pairs == 0:
+        return None
+    if n_pairs <= _DRIVER_ATTACH_LIMIT:
+        return _driver_attach(pairs_ds, files_ds)
+    return _shuffle_attach(pairs_ds, files_ds)
 
+
+def _token_rows(ids_ref):
+    """Map fn: file rows -> (file_id, repo, packed) with the \\x1f-packed
+    token prefix of each file. With `ids_ref` (driver regime) a broadcast
+    `is_in` prefilter keeps only candidate files; without (shuffle regime)
+    every file is tokenized and the semi-join exchange drops
+    non-candidates."""
+    import pyarrow.compute as pc
+    import ray
+
+    from opentapioca_ray.functions.text import tokenize_flat
     from opentapioca_ray.stages.pairs import CONTENT_CAP, TOKENS_CAP, token_prefix_lists
 
-    cap = tokens_cap or TOKENS_CAP
-    pairs_ds = pairs_ds.materialize()  # small: deduped candidate pairs
-    if pairs_ds.count() == 0:
-        return None
-    if mode == "auto":
-        mode = "driver" if pairs_ds.count() <= _DRIVER_ATTACH_LIMIT else "shuffle"
-
-    def make_token_rows(ids_ref):
-        """Tokenize file contents into packed \\x1f-joined prefixes. With
-        `ids_ref` (driver mode) a broadcast `is_in` prefilter keeps only
-        candidate files; without (shuffle mode) every file is tokenized and
-        the semi-join exchange drops non-candidates."""
-
-        def token_rows(batch: pa.Table) -> pa.Table:
-            from opentapioca_ray.functions.text import tokenize_flat
-
-            if ids_ref is not None:
-                mask = pc.is_in(batch.column("file_id"), value_set=ray.get(ids_ref))
-                t = batch.filter(mask)
-            else:
-                t = batch
-            texts = [(c or "")[:CONTENT_CAP] for c in t.column("content").to_pylist()]
-            token_lists = token_prefix_lists(*tokenize_flat(texts), cap)
-            return pa.table(
-                {
-                    "file_id": t.column("file_id"),
-                    "repo": t.column("repo"),
-                    "packed": pc.binary_join(token_lists, "\x1f"),
-                }
-            )
-
-        return token_rows
-
-    if mode == "driver":
-        # ONE read of the deduped pairs (bounded by the mode guard) feeds
-        # both the candidate-id broadcast — one vectorized np.unique over
-        # the pair id columns — and the dict join below
-        DRIVER_COLLECTS["pairs_proportional"] += 1
-        pl_c, pr_c, pc_c, pn_c = [], [], [], []
-        for t in arrow_blocks(pairs_ds):
-            if t.num_rows == 0 or "left_id" not in t.column_names:
-                continue
-            pl_c.append(t.column("left_id").to_numpy(zero_copy_only=False))
-            pr_c.append(t.column("right_id").to_numpy(zero_copy_only=False))
-            pc_c.append(t.column("capped").to_numpy(zero_copy_only=False))
-            pn_c.append(t.column("nb_bands").to_numpy(zero_copy_only=False))
-        if not pl_c:
-            return None
-        pl = np.concatenate(pl_c).astype(np.int64)
-        pr = np.concatenate(pr_c).astype(np.int64)
-        pcap = np.concatenate(pc_c).astype(np.int64)
-        pnb = np.concatenate(pn_c).astype(np.int64)
-        cand_ids = np.unique(np.concatenate([pl, pr]))
-        ids_ref = ray.put(pa.array(cand_ids, type=pa.int64()))
-        tokens = files_ds.map_batches(make_token_rows(ids_ref), batch_format="pyarrow")
-        # Small regime: tokenization stays distributed (the map above); only
-        # the packed prefixes of candidate files (bounded by cand_ids x cap)
-        # come to the driver for a vectorized dict join — sorted token-id
-        # arrays + two searchsorted lookups over the pair columns (no
-        # per-row Python) — then ship back as sliced Arrow blocks so the
-        # scorer tasks parallelize.
-        from opentapioca_ray.stages.exchange import driver_slices
-
-        DRIVER_COLLECTS["pairs_proportional"] += 1  # token rows
-        tid_c, trepo_c, tpack_c = [], [], []
-        for t in arrow_blocks(tokens):
-            if t.num_rows == 0 or "file_id" not in t.column_names:
-                continue
-            tid_c.append(t.column("file_id").to_numpy(zero_copy_only=False))
-            trepo_c.append(t.column("repo").to_numpy(zero_copy_only=False))
-            tpack_c.append(t.column("packed").to_numpy(zero_copy_only=False))
-        if not tid_c:
-            return None
-        tids = np.concatenate(tid_c).astype(np.int64)
-        o = np.argsort(tids)
-        tids = tids[o]
-        trepo = np.concatenate(trepo_c)[o]
-        tpack = np.concatenate(tpack_c)[o]
-        li = np.clip(np.searchsorted(tids, pl), 0, len(tids) - 1)
-        ri = np.clip(np.searchsorted(tids, pr), 0, len(tids) - 1)
-        ok = (tids[li] == pl) & (tids[ri] == pr)
-        table = pa.table(
+    def token_rows(batch: pa.Table) -> pa.Table:
+        if ids_ref is not None:
+            mask = pc.is_in(batch.column("file_id"), value_set=ray.get(ids_ref))
+            t = batch.filter(mask)
+        else:
+            t = batch
+        texts = [(c or "")[:CONTENT_CAP] for c in t.column("content").to_pylist()]
+        token_lists = token_prefix_lists(*tokenize_flat(texts), TOKENS_CAP)
+        return pa.table(
             {
-                "left_id": pa.array(pl[ok], type=pa.int64()),
-                "right_id": pa.array(pr[ok], type=pa.int64()),
-                "capped": pa.array(pcap[ok], type=pa.int64()),
-                "nb_bands": pa.array(pnb[ok], type=pa.int64()),
-                "left_repo": pa.array(trepo[li[ok]], type=pa.string()),
-                "left_packed": pa.array(tpack[li[ok]], type=pa.string()),
-                "right_repo": pa.array(trepo[ri[ok]], type=pa.string()),
-                "right_packed": pa.array(tpack[ri[ok]], type=pa.string()),
+                "file_id": t.column("file_id"),
+                "repo": t.column("repo"),
+                "packed": pc.binary_join(token_lists, "\x1f"),
             }
         )
-        return driver_slices(table)
 
-    # Shuffle regime below — the 100 TB path. Candidate tokens are selected
-    # by ONE distributed semi-join exchange: every file is tokenized in
-    # place (a local map; packed prefixes are capped, so the exchanged
-    # volume is O(corpus prefixes), the same order as reading the corpus
-    # once), the slim pair-id column (int64s) is unioned in as key rows,
-    # and each hash(file_id) % P partition keeps only files present in some
-    # pair. No driver collect anywhere on this path. The surviving token
-    # set feeds BOTH side-attaches — materialize once, and collapse the
+    return token_rows
+
+
+def _driver_attach(pairs_ds, files_ds):
+    """`attach_pair_tokens`' small regime over MATERIALIZED pairs."""
+    import ray
+
+    # ONE read of the deduped pairs (bounded by the regime guard) feeds
+    # both the candidate-id broadcast — one vectorized np.unique over the
+    # pair id columns — and the dict join below
+    DRIVER_COLLECTS["pairs_proportional"] += 1
+    pl_c, pr_c, pc_c, pn_c = [], [], [], []
+    for t in arrow_blocks(pairs_ds):
+        if t.num_rows == 0 or "left_id" not in t.column_names:
+            continue
+        pl_c.append(t.column("left_id").to_numpy(zero_copy_only=False))
+        pr_c.append(t.column("right_id").to_numpy(zero_copy_only=False))
+        pc_c.append(t.column("capped").to_numpy(zero_copy_only=False))
+        pn_c.append(t.column("nb_bands").to_numpy(zero_copy_only=False))
+    if not pl_c:
+        return None
+    pl = np.concatenate(pl_c).astype(np.int64)
+    pr = np.concatenate(pr_c).astype(np.int64)
+    pcap = np.concatenate(pc_c).astype(np.int64)
+    pnb = np.concatenate(pn_c).astype(np.int64)
+    cand_ids = np.unique(np.concatenate([pl, pr]))
+    ids_ref = ray.put(pa.array(cand_ids, type=pa.int64()))
+    tokens = files_ds.map_batches(_token_rows(ids_ref), batch_format="pyarrow")
+    # Small regime: tokenization stays distributed (the map above); only
+    # the packed prefixes of candidate files (bounded by cand_ids x cap)
+    # come to the driver for a vectorized dict join — sorted token-id
+    # arrays + two searchsorted lookups over the pair columns (no
+    # per-row Python) — then ship back as sliced Arrow blocks so the
+    # scorer tasks parallelize.
+    from opentapioca_ray.stages.exchange import driver_slices
+
+    DRIVER_COLLECTS["pairs_proportional"] += 1  # token rows
+    tid_c, trepo_c, tpack_c = [], [], []
+    for t in arrow_blocks(tokens):
+        if t.num_rows == 0 or "file_id" not in t.column_names:
+            continue
+        tid_c.append(t.column("file_id").to_numpy(zero_copy_only=False))
+        trepo_c.append(t.column("repo").to_numpy(zero_copy_only=False))
+        tpack_c.append(t.column("packed").to_numpy(zero_copy_only=False))
+    if not tid_c:
+        return None
+    tids = np.concatenate(tid_c).astype(np.int64)
+    o = np.argsort(tids)
+    tids = tids[o]
+    trepo = np.concatenate(trepo_c)[o]
+    tpack = np.concatenate(tpack_c)[o]
+    li = np.clip(np.searchsorted(tids, pl), 0, len(tids) - 1)
+    ri = np.clip(np.searchsorted(tids, pr), 0, len(tids) - 1)
+    ok = (tids[li] == pl) & (tids[ri] == pr)
+    table = pa.table(
+        {
+            "left_id": pa.array(pl[ok], type=pa.int64()),
+            "right_id": pa.array(pr[ok], type=pa.int64()),
+            "capped": pa.array(pcap[ok], type=pa.int64()),
+            "nb_bands": pa.array(pnb[ok], type=pa.int64()),
+            "left_repo": pa.array(trepo[li[ok]], type=pa.string()),
+            "left_packed": pa.array(tpack[li[ok]], type=pa.string()),
+            "right_repo": pa.array(trepo[ri[ok]], type=pa.string()),
+            "right_packed": pa.array(tpack[ri[ok]], type=pa.string()),
+        }
+    )
+    return driver_slices(table)
+
+
+def _shuffle_attach(pairs_ds, files_ds):
+    """`attach_pair_tokens`' shuffle regime over MATERIALIZED pairs (the
+    100 TB path): no driver collect anywhere."""
+    # Candidate tokens are selected by ONE distributed semi-join exchange:
+    # every file is tokenized in place (a local map; packed prefixes are
+    # capped, so the exchanged volume is O(corpus prefixes), the same order
+    # as reading the corpus once), the slim pair-id column (int64s) is
+    # unioned in as key rows, and each hash(file_id) % P partition keeps
+    # only files present in some pair. The surviving token set feeds BOTH
+    # side-attaches — materialize once, and collapse the
     # blocks >> rows regime (the filtered candidate tokens inherit the
     # corpus's block count; Ray's sort groupby pays per-block task
     # overhead) before the exchanges.
@@ -635,7 +631,7 @@ def attach_pair_tokens(pairs_ds, files_ds, tokens_cap: int | None = None, mode: 
         [("file_id", pa.int64()), ("repo", pa.string()), ("packed", pa.string())]
     )
     tokens = coarse_semi_join(
-        files_ds.map_batches(make_token_rows(None), batch_format="pyarrow"),
+        files_ds.map_batches(_token_rows(None), batch_format="pyarrow"),
         "file_id",
         pairs_ds.map_batches(pair_id_rows, batch_format="pyarrow"),
         schema=token_schema,
@@ -781,7 +777,6 @@ def linkage_clusters(
     from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
 
     files_ds = files_ds.materialize()  # consumed by the front and the tokens
-    mode = "shuffle" if distributed else "auto"
     if not distributed and files_ds.count() * bands <= DRIVER_COMBINE_LIMIT:
         idf, prior, pairs = _front_pass(
             files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size, window
@@ -791,10 +786,19 @@ def linkage_clusters(
             stats_idf, stats_prior = corpus_stats(files_ds)
             idf = stats_idf if idf is None else idf
             prior = stats_prior if prior is None else prior
-        pairs = build_id_pairs(
-            files_ds, num_perm, bands, shingle_k, max_block_size, window, mode=mode
-        )
-    enriched = attach_pair_tokens(pairs, files_ds, mode=mode)
+        if distributed:
+            pairs = _shuffle_id_pairs(
+                _band_rows(files_ds, num_perm, bands, shingle_k), max_block_size, window
+            )
+        else:
+            pairs = build_id_pairs(
+                files_ds, num_perm, bands, shingle_k, max_block_size, window
+            )
+    if distributed:
+        pairs = pairs.materialize()
+        enriched = _shuffle_attach(pairs, files_ds) if pairs.count() else None
+    else:
+        enriched = attach_pair_tokens(pairs, files_ds)
     if enriched is None:  # no candidate pairs at all
         empty_sc = pa.schema(
             [("left_id", pa.int64()), ("right_id", pa.int64()), ("score", pa.float64())]
@@ -852,7 +856,7 @@ def linkage_checkpointed(
     # fingerprint EVERY param build_id_pairs consumes (max_block_size and
     # window change the emitted pair set too) so a re-run with different
     # values invalidates the stage instead of reusing a stale checkpoint
-    _PAIR_KEYS = ("num_perm", "bands", "shingle_k", "max_block_size", "window", "mode")
+    _PAIR_KEYS = ("num_perm", "bands", "shingle_k", "max_block_size", "window")
     pair_kwargs = {k: kwargs[k] for k in _PAIR_KEYS if k in kwargs}
     pair_params = {**base_params, **pair_kwargs}
     pairs = ckpt.run(

@@ -20,7 +20,7 @@ entity catalog FROM THE CORPUS'S OWN GOLD ANNOTATIONS:
 - real Wikidata qids (up to Q10^8) are remapped to dense local ids so the
   pagerank vector stays O(#entities) instead of O(max qid).
 
-This exercises every production stage (trie tagger actor, BOW model,
+This exercises every production stage (trie tagger, BOW model,
 similarity smoothing, design matrix, linear model, evaluation) on real
 text with real gold labels.
 """

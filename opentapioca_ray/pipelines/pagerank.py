@@ -9,8 +9,9 @@ sort -> scipy CSR -> 16 power iterations (wikidatagraph.py:24-157). Here:
   by the repo's one partial-sum merge (`stages/exchange.py:sum_partials`);
 - `normalize_edges`: row-normalized weights per src (A3) — per-src totals
   from the same merge, broadcast to one vectorized divide per batch;
-- `sorted_edge_arrays`: `ds.sort("src")` (Ray's distributed external sort
-  replaces GNU sort — K1) + the reference's sortedness validation;
+- `sorted_edge_arrays`: the edges collected to the driver and ordered by
+  one `np.lexsort` (replaces GNU sort — K1; the arrays feed the local CSR
+  kernel anyway);
 - `compute_pagerank_local`: numpy kernel (semantics-identical 16 iterations
   + L1 loss compensation) for graphs whose dense rank vector fits one node;
 - `compute_pagerank_distributed`: the scale path — per iteration one
@@ -153,34 +154,22 @@ def normalize_edges(edges_ds):
     return edges_ds.map_batches(norm, batch_format="pyarrow")
 
 
-def sorted_edge_arrays(edges_ds, validate: bool = True, mode: str = "driver"):
-    """Edges -> (src, dst, weight) numpy arrays globally sorted by (src, dst),
-    with the reference's sortedness validation (wikidatagraph.py:76-83).
-
-    `driver` (default): collect then one np.lexsort — the arrays are coming
-    to the driver anyway for the local CSR kernel, so a distributed shuffle
-    sort buys nothing at this regime. `shuffle`: `ds.sort` (Ray's external
-    sort, the K1 scale path — use when edges exceed driver memory and the
-    consumer streams rather than collects)."""
-    import ray
-
-    ds = edges_ds.sort(["src", "dst"]) if mode == "shuffle" else edges_ds
+def sorted_edge_arrays(edges_ds):
+    """Edges -> (src, dst, weight) numpy arrays globally sorted by (src, dst):
+    collected to the driver, where the local CSR kernel reads them, and
+    ordered by one `np.lexsort`."""
     srcs, dsts, weights = [], [], []
-    for t in arrow_blocks(ds):
+    for t in arrow_blocks(edges_ds):
         if t.num_rows == 0 or "src" not in t.column_names:
-            continue  # empty boundary blocks after the shuffle sort
+            continue
         srcs.append(t.column("src").to_numpy(zero_copy_only=False))
         dsts.append(t.column("dst").to_numpy(zero_copy_only=False))
         weights.append(t.column("weight").to_numpy(zero_copy_only=False))
     src = np.concatenate(srcs) if srcs else np.zeros(0, np.int64)
     dst = np.concatenate(dsts) if dsts else np.zeros(0, np.int64)
     weight = np.concatenate(weights) if weights else np.zeros(0)
-    if mode != "shuffle":
-        order = np.lexsort((dst, src))
-        src, dst, weight = src[order], dst[order], weight[order]
-    if validate and len(src) and np.any(np.diff(src) < 0):
-        raise ValueError("The edge list is not sorted.")
-    return src, dst, weight
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], weight[order]
 
 
 def compute_pagerank_local(edges_ds, shape: int | None = None, iterations: int = 16):

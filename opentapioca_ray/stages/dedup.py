@@ -674,8 +674,6 @@ def ngram_jaccard_pairs(
     k: int = 3,
     threshold: float = 0.5,
     max_df: int | None = None,
-    mode: str = "auto",
-    driver_limit: int = _NGRAM_DRIVER_LIMIT,
 ):
     """Exact n-gram Jaccard near-dup pairs: candidates = pairs sharing >= 1
     distinct word-k-gram; verified with exact Jaccard over the gram sets.
@@ -687,15 +685,15 @@ def ngram_jaccard_pairs(
     counts then cover surviving grams only — a lower bound on true Jaccard).
     `minhash_dedup` is the approximate scale path.
 
-    Key identity both modes use: |A ∩ B| for a doc pair equals the pair's
+    Key identity both regimes use: |A ∩ B| for a doc pair equals the pair's
     MULTIPLICITY across shared-gram groups, and |A| / |B| are the per-doc
     distinct-gram counts — exact Jaccard needs NO gram-set payloads, just
     pair occurrence counts + two size lookups (carried on the exploded rows
-    themselves). Scale-adaptive merge: below `driver_limit` surviving
-    (gram, doc) rows the counting happens in one vectorized driver pass (no
-    shuffle); above it — or with `mode="shuffle"` — the same kernel runs
-    per coarse gram-hash partition followed by one coarse (u, v) merge,
-    fully distributed (`_ngram_shuffle_pairs`).
+    themselves). Scale-adaptive merge: up to `_NGRAM_DRIVER_LIMIT`
+    surviving (gram, doc) rows the counting happens in one vectorized
+    driver pass (no shuffle); above it the same kernel runs per coarse
+    gram-hash partition followed by one coarse (u, v) merge, fully
+    distributed (`_ngram_shuffle_pairs`).
 
     Returns (u, v, jaccard) with u < v and jaccard >= threshold."""
     import ray
@@ -726,10 +724,8 @@ def ngram_jaccard_pairs(
         batch_format="pyarrow",
     )
 
-    if mode == "auto":
-        exploded = exploded.materialize()
-        mode = "driver" if exploded.count() <= driver_limit else "shuffle"
-    if mode == "shuffle":
+    exploded = exploded.materialize()
+    if exploded.count() > _NGRAM_DRIVER_LIMIT:
         return _ngram_shuffle_pairs(exploded, threshold)
 
     # surviving (gram, doc, n_grams) rows -> pair occurrence counts

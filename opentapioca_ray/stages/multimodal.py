@@ -1,15 +1,16 @@
 """Multimodal (image/audio/video) column plumbing.
 
 Treats media as opaque `binary` payload columns with typed metadata, processed
-by stateful actor-pool `map_batches` stages — the Ray-side plumbing (schemas,
-batch sizing, actor signatures, output layout) is real and tested; the
+by stage classes run on Ray tasks (one instance per batch; their setup is
+trivial) — the Ray-side plumbing (schemas, batch sizing, output layout) is
+real and tested; the
 actual codec work is STUBBED behind a deterministic fake because no
 image/audio libraries ship in this environment (see `HAVE_PIL`; a real
 deployment drops `PIL.Image.open` / soundfile into the same `__call__`).
 
-Scale notes: payloads are large — stages default to small `batch_size` so a
-batch x actor-pool concurrency stays well under the object-store block
-target, and payload bytes never leave Arrow buffers except inside the
+Scale notes: payloads are large — stages default to small `batch_size` so
+the batches in flight stay well under the object-store block target, and
+payload bytes never leave Arrow buffers except inside the
 per-batch kernel. Decoded features are fixed-size list<float> columns.
 """
 
@@ -80,17 +81,14 @@ def synthesize_media(docs_ds, id_column: str = "doc_id", text_column: str = "tex
 
 
 class DecodeImageStage:
-    """Actor-pool stage: binary payload -> image metadata (+sha256 invariant).
+    """Stage: binary payload -> image metadata (+sha256 invariant).
 
     Real path (PIL) decodes width/height/mode; the deterministic fake maps
     payload length to a plausible geometry so downstream layout code is
-    exercised identically. Use via
-    `ds.map_batches(DecodeImageStage, concurrency=(1, N),
-    batch_size=MEDIA_BATCH_SIZE, batch_format="pyarrow")`.
+    exercised identically. `decode_images` runs it on tasks.
     """
 
     def __init__(self):
-        # once-per-actor setup: codec handles / model loads go here
         self.have_pil = HAVE_PIL
 
     def _decode(self, payload: bytes) -> tuple[int, int]:
@@ -124,7 +122,7 @@ class DecodeImageStage:
 
 
 class ImageFeatureStage:
-    """Actor-pool stage: payload bytes -> fixed-size feature vector
+    """Stage: payload bytes -> fixed-size feature vector
     (byte-histogram folded to `dim`, L1-normalized — a deterministic stand-in
     for a CNN embedding; vectorized with numpy over the raw buffers)."""
 
@@ -149,7 +147,7 @@ class ImageFeatureStage:
 
 
 class FrameSampleStage:
-    """Actor-pool stage for "video": treat the payload as concatenated
+    """Stage for "video": treat the payload as concatenated
     fixed-size frames; emit every `stride`-th frame as its own row
     (media_id, frame_index, frame payload, sha). Output is a flat_map-shaped
     batch: one input row -> many frame rows."""
@@ -180,7 +178,7 @@ class FrameSampleStage:
 
 
 class AudioFeatureStage:
-    """Actor-pool stage for "audio": bytes -> per-window RMS energy curve
+    """Stage for "audio": bytes -> per-window RMS energy curve
     (list<float>, `n_windows` fixed) — a deterministic stand-in for mel
     features; numpy-vectorized."""
 
@@ -215,34 +213,28 @@ def _only_kind(kind: str):
     return fn
 
 
-def decode_images(media_ds, concurrency=(1, 8)):
-    """Image rows -> decoded metadata via the actor pool."""
-    images = media_ds.map_batches(_only_kind("image"), batch_format="pyarrow")
-    return images.map_batches(
-        DecodeImageStage,
+def _on_tasks(media_ds, kind: str, stage_cls, **kwargs):
+    """The `kind` rows of `media_ds` through `stage_cls(**kwargs)` on Ray
+    tasks. Stateless stages need no actor pool, and a pool would hold CPUs
+    that the upstream read tasks wait for (no progress at num_cpus=1)."""
+    rows = media_ds.map_batches(_only_kind(kind), batch_format="pyarrow")
+    return rows.map_batches(
+        lambda b: stage_cls(**kwargs)(b),
         batch_size=MEDIA_BATCH_SIZE,
         batch_format="pyarrow",
-        concurrency=concurrency,
     )
 
 
-def audio_features(media_ds, n_windows: int = 16, concurrency=(1, 8)):
-    audio = media_ds.map_batches(_only_kind("audio"), batch_format="pyarrow")
-    return audio.map_batches(
-        AudioFeatureStage,
-        fn_constructor_kwargs={"n_windows": n_windows},
-        batch_size=MEDIA_BATCH_SIZE,
-        batch_format="pyarrow",
-        concurrency=concurrency,
-    )
+def decode_images(media_ds):
+    """Image rows -> decoded metadata."""
+    return _on_tasks(media_ds, "image", DecodeImageStage)
 
 
-def sample_frames(media_ds, frame_bytes: int = 1024, stride: int = 2, concurrency=(1, 8)):
-    video = media_ds.map_batches(_only_kind("video"), batch_format="pyarrow")
-    return video.map_batches(
-        FrameSampleStage,
-        fn_constructor_kwargs={"frame_bytes": frame_bytes, "stride": stride},
-        batch_size=MEDIA_BATCH_SIZE,
-        batch_format="pyarrow",
-        concurrency=concurrency,
+def audio_features(media_ds, n_windows: int = 16):
+    return _on_tasks(media_ds, "audio", AudioFeatureStage, n_windows=n_windows)
+
+
+def sample_frames(media_ds, frame_bytes: int = 1024, stride: int = 2):
+    return _on_tasks(
+        media_ds, "video", FrameSampleStage, frame_bytes=frame_bytes, stride=stride
     )

@@ -159,8 +159,6 @@ def prefilter_singleton_blocks(
     blocks_ds,
     min_size: int = 2,
     max_size: int | None = None,
-    mode: str = "auto",
-    driver_limit: int = DRIVER_COMBINE_LIMIT,
 ):
     """Drop blocks that cannot produce pairs BEFORE the wide group-by.
 
@@ -169,59 +167,56 @@ def prefilter_singleton_blocks(
     count + broadcast-set semi-join typically removes >90% of rows from the
     expensive shuffle. Scale-adaptive counting:
 
-    - `driver` (auto below `driver_limit` rows): the key column alone (a few
-      bytes/row) is collected and counted with one vectorized `np.unique` —
-      no shuffle at all. Bounded by the block-row count, NOT content size.
-    - `shuffle` (auto above): combiner-first per-batch Arrow counts merged
+    - driver (up to `DRIVER_COMBINE_LIMIT` rows): the key column alone (a
+      few bytes/row) is collected and counted with one vectorized
+      `np.unique` — no shuffle at all. Bounded by the block-row count, NOT
+      content size.
+    - shuffle (above it): combiner-first per-batch Arrow counts merged
       by ONE coarse exchange, then a distributed `coarse_semi_join` of the
       block rows against the surviving keys — nothing proportional to the
       key space ever touches the driver, and no Ray sort-based groupby
       runs over the raw band rows (the round-3 version's
       `groupby(block_key).count()` + driver key-set collect measured 507 s
       at 82M band rows where this shape runs in coarse-exchange time)."""
-    import pyarrow as pa
     import pyarrow.compute as pc
 
-    blocks_ds = blocks_ds.materialize()  # consumed twice: count + filter
-    if mode == "auto":
-        mode = "driver" if blocks_ds.count() <= driver_limit else "shuffle"
+    from opentapioca_ray.stages.aggregates import partial_sum_count
+    from opentapioca_ray.stages.exchange import coarse_semi_join
 
-    if mode == "driver":
+    blocks_ds = blocks_ds.materialize()  # consumed twice: count + filter
+    if blocks_ds.count() <= DRIVER_COMBINE_LIMIT:
         survivors, _ = surviving_keys(
             arrow_blocks(blocks_ds.select_columns(["block_key"])), min_size, max_size
         )
         if survivors is None:
             return blocks_ds
         return keep_keys(blocks_ds, survivors)
-    else:
-        from opentapioca_ray.stages.aggregates import partial_sum_count
-        from opentapioca_ray.stages.exchange import coarse_semi_join
 
-        counts = partial_sum_count(
-            blocks_ds.select_columns(["block_key"]),
-            "block_key",
-            [],
-            alias={"count": "n"},
-        )
+    counts = partial_sum_count(
+        blocks_ds.select_columns(["block_key"]),
+        "block_key",
+        [],
+        alias={"count": "n"},
+    )
 
-        def good_keys(batch: pa.Table) -> pa.Table:
-            if batch.num_rows == 0 or "block_key" not in batch.column_names:
-                return pa.schema([("block_key", pa.int64())]).empty_table()
-            mask = pc.greater_equal(batch.column("n"), min_size)
-            if max_size is not None:
-                mask = pc.and_(mask, pc.less_equal(batch.column("n"), max_size))
-            return batch.filter(mask).select(["block_key"])
+    def good_keys(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or "block_key" not in batch.column_names:
+            return pa.schema([("block_key", pa.int64())]).empty_table()
+        mask = pc.greater_equal(batch.column("n"), min_size)
+        if max_size is not None:
+            mask = pc.and_(mask, pc.less_equal(batch.column("n"), max_size))
+        return batch.filter(mask).select(["block_key"])
 
-        sch = blocks_ds.schema()
-        arrow_schema = getattr(sch, "base_schema", None)
-        if not isinstance(arrow_schema, pa.Schema):
-            arrow_schema = pa.schema(list(zip(sch.names, sch.types)))
-        return coarse_semi_join(
-            blocks_ds,
-            "block_key",
-            counts.map_batches(good_keys, batch_format="pyarrow"),
-            schema=arrow_schema,
-        )
+    sch = blocks_ds.schema()
+    arrow_schema = getattr(sch, "base_schema", None)
+    if not isinstance(arrow_schema, pa.Schema):
+        arrow_schema = pa.schema(list(zip(sch.names, sch.types)))
+    return coarse_semi_join(
+        blocks_ds,
+        "block_key",
+        counts.map_batches(good_keys, batch_format="pyarrow"),
+        schema=arrow_schema,
+    )
 
 
 def surviving_keys(tables, min_size: int = 2, max_size: int | None = None):

@@ -197,26 +197,14 @@ def shuffle_semi_join(
 _SEMI_BROADCAST_LIMIT = 5_000_000
 
 
-def semi_join(
-    ds,
-    build_ds,
-    left_key: str,
-    build_key: str,
-    anti: bool = False,
-    mode: str = "auto",
-    broadcast_limit: int = _SEMI_BROADCAST_LIMIT,
-):
+def semi_join(ds, build_ds, left_key: str, build_key: str, anti: bool = False):
     """Scale-adaptive semi/anti join: broadcast the deduped build-key set
-    when it fits (`distinct_keys` + `broadcast_semi_join` — no probe
-    shuffle), else ONE coarse exchange (`shuffle_semi_join`). `mode` forces
-    a regime ("broadcast" / "shuffle") for tests and known-shape inputs."""
-    if mode == "shuffle":
-        return shuffle_semi_join(ds, build_ds, left_key, build_key, anti)
-    if mode == "broadcast":
-        keys = distinct_keys(build_ds, build_key)
-        return broadcast_semi_join(ds, keys, left_key, anti)
+    while it holds at most `_SEMI_BROADCAST_LIMIT` keys (`distinct_keys` +
+    `broadcast_semi_join` — no probe shuffle), else ONE coarse exchange
+    (`shuffle_semi_join`). Tests reach the exchange by monkeypatching the
+    limit to 0."""
     try:
-        keys = distinct_keys(build_ds, build_key, limit=broadcast_limit)
+        keys = distinct_keys(build_ds, build_key, limit=_SEMI_BROADCAST_LIMIT)
     except ValueError:
         return shuffle_semi_join(ds, build_ds, left_key, build_key, anti)
     return broadcast_semi_join(ds, keys, left_key, anti)
@@ -366,7 +354,6 @@ def bloom_semi_join(
     anti: bool = False,
     n_bits: int = _BLOOM_DEFAULT_BITS,
     n_hashes: int = 4,
-    mode: str = "auto",
 ):
     """Semi/anti join with a Bloom-filter pre-pass — EXACT results (the
     Bloom filter only prunes; survivors are verified by the real join).
@@ -424,7 +411,7 @@ def bloom_semi_join(
 
     candidates = probe_ds.map_batches(keep_members, batch_format="pyarrow")
     if not anti:
-        return semi_join(candidates, build_ds, left_key, build_key, mode=mode)
+        return semi_join(candidates, build_ds, left_key, build_key)
 
     def keep_nonmembers(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or left_key not in batch.column_names:
@@ -432,9 +419,7 @@ def bloom_semi_join(
         return batch.filter(pa.array(~bloom_mask(batch)))
 
     definite = probe_ds.map_batches(keep_nonmembers, batch_format="pyarrow")
-    verified = semi_join(
-        candidates, build_ds, left_key, build_key, anti=True, mode=mode
-    )
+    verified = semi_join(candidates, build_ds, left_key, build_key, anti=True)
     return definite.union(verified)
 
 

@@ -311,9 +311,11 @@ def span_coverage(
             }
         )
 
-    unioned = spans_ds.map_batches(interval_rows, batch_format="pyarrow").union(
-        docs.map_batches(count_rows, batch_format="pyarrow")
-    )
+    # a lazy `shared_spans` plan (two exchanges) unioned with a docs map
+    # does not progress in a num_cpus=1 session: materialize it first
+    unioned = spans_ds.materialize().map_batches(
+        interval_rows, batch_format="pyarrow"
+    ).union(docs.map_batches(count_rows, batch_format="pyarrow"))
 
     def cover_partition(df: pd.DataFrame) -> pd.DataFrame:
         cols = ("doc_id", "n_tokens", "covered_tokens", "dup_fraction_e6")
@@ -440,9 +442,10 @@ def span_removal(
             }
         )
 
-    unioned = spans_ds.map_batches(interval_rows, batch_format="pyarrow").union(
-        docs.map_batches(text_rows, batch_format="pyarrow")
-    )
+    # materialized first, as in `span_coverage` (num_cpus=1 progress)
+    unioned = spans_ds.materialize().map_batches(
+        interval_rows, batch_format="pyarrow"
+    ).union(docs.map_batches(text_rows, batch_format="pyarrow"))
 
     def clean_partition(df: pd.DataFrame) -> pd.DataFrame:
         if df.empty or "is_text" not in df.columns:

@@ -1,8 +1,9 @@
 """Tagger stage: candidate generation over documents.
 
 Ray-Data re-expression of the reference's Solr-backed tagger
-(opentapioca/tagger.py:35-119): a stateful actor-pool `map_batches` stage.
-Each actor builds, ONCE in `__init__`, from broadcast (`ray.put`) objects:
+(opentapioca/tagger.py:35-119) as a `map_batches` stage on Ray tasks.
+The shared state is built ONCE per job (`build_tagger_state`) and
+broadcast with `ray.put`:
 
 - a `SurfaceFormTrie` over every entity surface form (label + aliases +
   extra_aliases) — the FST dictionary analog;
@@ -44,7 +45,7 @@ TAGS_SCHEMA = pa.schema(
 
 
 class EntityCatalog:
-    """In-actor entity side state: trie + per-entity records."""
+    """Entity side state: trie + per-entity records."""
 
     def __init__(self, entities: pa.Table):
         self.docs: dict[str, dict] = {}
@@ -81,7 +82,7 @@ def tag_document(
     top_k: int = 10,
     prune: bool = True,
 ) -> list[dict]:
-    """Reference `tag_and_rank` semantics over the in-actor trie."""
+    """Reference `tag_and_rank` semantics over the catalog's trie."""
     text = text[:max_length]
     rows: list[dict] = []
     for start, end, ids in catalog.trie.match(text, tags_limit=tags_limit):
@@ -117,11 +118,11 @@ def tag_document(
 class TaggerSharedState:
     """Immutable, build-ONCE tagger state: the entity catalog, the compiled
     int-code automaton, the BOW/pagerank models and the flattened per-state
-    tag tables. Built in a single Ray task by `build_tagger_state` and
-    shared by every actor of the pool through the object store — at full
-    dictionary scale (millions of surface forms) the trie + automaton
-    compile is minutes of CPU, paid once instead of once per actor.
-    Everything here is read-only after construction; per-actor MUTABLE memo
+    tag tables. `pipelines/annotate.tag_documents` builds it once on the
+    driver with `build_tagger_state` and shares it with every task through
+    the object store — at full dictionary scale (millions of surface forms)
+    the trie + automaton compile is minutes of CPU, paid once per job.
+    Everything here is read-only after construction; the MUTABLE memo
     caches stay on `TaggerStage`."""
 
     __slots__ = (
@@ -209,15 +210,14 @@ def build_tagger_state(
 
 
 class TaggerStage:
-    """Callable class for `ds.map_batches(TaggerStage, concurrency=N, ...)`.
+    """Tagger over a batch of documents -> flat (mention, tag) rows.
 
-    Constructor args are `ray.ObjectRef`s so the (large) entity table, BOW
-    dict and pagerank vector ship through the object store once per actor,
-    not once per batch. Pass `state_ref` (a ref to a PREBUILT
-    `TaggerSharedState` from `build_tagger_state`) to skip the per-actor
-    catalog/automaton build entirely — the actors-mode path in
-    `pipelines/annotate.tag_documents` does this, so the dictionary
-    compile runs once per JOB, not once per actor.
+    Pass `state_ref` (a PREBUILT `TaggerSharedState` from
+    `build_tagger_state`, or a `ray.ObjectRef` to one) to skip the
+    catalog/automaton build: `pipelines/annotate.tag_documents` does this,
+    and each worker process resolves the ref once
+    (`stages/pairs._resolve_cached`). Otherwise the state is built from
+    `entities_ref`, `bow_ref` and `pagerank_ref` (values or refs).
     """
 
     def __init__(
@@ -233,10 +233,7 @@ class TaggerStage:
         prune: bool = True,
         state_ref=None,
     ):
-        import ray
-
-        def resolve(x):
-            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
+        from opentapioca_ray.stages.pairs import _resolve_cached as resolve
 
         if state_ref is not None:
             state = resolve(state_ref)
@@ -261,7 +258,7 @@ class TaggerStage:
         self.tags_limit = tags_limit
         self.top_k = state.top_k
         self.prune = prune
-        # per-actor memo caches (round-3 verdict item 4): BOW likelihood /
+        # per-stage memo caches (round-3 verdict item 4): BOW likelihood /
         # prune verdict are pure functions of the surface string, and the
         # rank-sorted candidate list is pure per trie node — surfaces and
         # nodes repeat constantly across a corpus, so caching them removes

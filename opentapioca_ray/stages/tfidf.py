@@ -99,12 +99,12 @@ def tfidf_top_terms(
     id_column: str = "doc_id",
     text_column: str = "text",
     top_n: int = 3,
-    mode: str = "auto",
-    broadcast_limit: int = _VOCAB_BROADCAST_LIMIT,
 ):
     """Top `top_n` TF-IDF terms per document, score = tf * ln(N / df),
     ranked by (quantized score desc, word asc). Returns
-    (id_column, word, rk)."""
+    (id_column, word, rk). Up to `_VOCAB_BROADCAST_LIMIT` distinct words
+    the df table is broadcast to one scoring map; above it the df rides a
+    reduce-side join."""
     import ray
     import ray.data
 
@@ -118,10 +118,7 @@ def tfidf_top_terms(
         tf_ds.select_columns(["word"]), "word", [], alias={"count": "df"}
     )
 
-    if mode == "auto":
-        mode = "broadcast" if df_ds.count() <= broadcast_limit else "shuffle"
-
-    if mode == "broadcast":
+    if df_ds.count() <= _VOCAB_BROADCAST_LIMIT:
         parts = [
             t for t in arrow_blocks(df_ds)
             if t.num_rows and "word" in t.column_names

@@ -106,11 +106,12 @@ _DEG_BROADCAST_LIMIT = 5_000_000
 _EDGE_BROADCAST_LIMIT = 50_000_000  # packed uint64 edge set, <= 400 MB plasma
 
 
-def count_triangles(edges_ds, mode: str = "auto"):
+def count_triangles(edges_ds):
     """Total triangle count of an undirected simple graph given as distinct
     (u < v) int64 edges. Returns a single-row dataset (n_triangles: int64).
-    `mode`: "broadcast" forces the degree lookup onto ray.put state,
-    "shuffle" forces the reduce-side attach, "auto" picks by |V|."""
+    Up to `_DEG_BROADCAST_LIMIT` nodes and `_EDGE_BROADCAST_LIMIT` edges
+    the degree lookup and the closing edge set ride ray.put state; above
+    either, reduce-side attaches and a wedge-emission exchange."""
     import ray
     import ray.data
     from ray.data.aggregate import Sum
@@ -147,14 +148,11 @@ def count_triangles(edges_ds, mode: str = "auto"):
     ).materialize()
 
     # -- 2. attach deg(u), deg(v)
-    if mode == "auto":
-        mode = (
-            "broadcast"
-            if deg.count() <= _DEG_BROADCAST_LIMIT
-            and edges_ds.count() <= _EDGE_BROADCAST_LIMIT
-            else "shuffle"
-        )
-    if mode == "broadcast":
+    broadcast = (
+        deg.count() <= _DEG_BROADCAST_LIMIT
+        and edges_ds.count() <= _EDGE_BROADCAST_LIMIT
+    )
+    if broadcast:
         # fused attach+orient: one ray.put of the sorted (node, deg) arrays,
         # one map over the edges — no join passes, no renames
         deg_tbl = pa.concat_tables(
@@ -236,7 +234,7 @@ def count_triangles(edges_ds, mode: str = "auto"):
     # close wedges inside the wedge partition kernel — the O(sum outdeg^2)
     # wedge rows never leave the worker; only P count rows move. The
     # wedge-emission exchange below is the 100 TB fallback.
-    if mode == "broadcast":
+    if broadcast:
         oriented = oriented.materialize()
         packed_parts = []
         for t in arrow_blocks(oriented):

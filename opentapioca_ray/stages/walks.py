@@ -20,7 +20,8 @@ ONCE (per-src sort + rank/degree columns); every step is a (node, rank)
 point lookup against it. Two regimes, the repo's standard
 node-table-bounded pattern (HITS `score_broadcast_limit`):
 
-- broadcast (default while #walkers <= `pos_broadcast_limit`): the
+- broadcast (while the ranked adjacency has at most
+  `_WALK_BROADCAST_LIMIT` rows, an upper bound on #walkers): the
   (walker, node, k) table is `ray.put` per step and merged against the
   STATIC ranked adjacency blocks inside `map_batches` — zero edge
   shuffles; exactly one matching row per walker comes back to the
@@ -98,12 +99,15 @@ def _rank_adjacency(directed, n_parts: int):
     return coarse_group_apply(directed, "src", kernel, n_parts=n_parts)
 
 
+# Ranked adjacency rows (>= #walkers, one per node) up to which the walk
+# takes the broadcast regime; the exchange-per-step regime above it.
+_WALK_BROADCAST_LIMIT = 2_000_000
+
+
 def random_walks(
     edges_ds,
     steps: int = 4,
     n_parts: int | None = None,
-    mode: str = "auto",
-    pos_broadcast_limit: int = 2_000_000,
     edges_distinct_directed: bool = False,
 ):
     """One `steps`-hop deterministic walk per distinct node of the
@@ -114,14 +118,13 @@ def random_walks(
     materialized DISTINCT both-direction (src, dst) table (e.g. a graph
     shared across queries in one process) and skips the dedup exchange.
 
-    `mode`: "broadcast" merges a `ray.put` (walker, node, k) table
-    against static ranked-adjacency blocks (no per-step edge shuffle;
-    driver holds O(#walkers) rows — NODE-bounded, never data-bounded);
-    "shuffle" is the exchange-per-step path for walker tables beyond
-    `pos_broadcast_limit`; "auto" picks by walker count. The two are
-    equivalence-tested in tests/test_walks.py."""
+    Up to `_WALK_BROADCAST_LIMIT` ranked adjacency rows a `ray.put`
+    (walker, node, k) table is merged against static ranked-adjacency
+    blocks (no per-step edge shuffle; driver holds O(#walkers) rows —
+    NODE-bounded, never data-bounded); above it every step is one
+    exchange. The two regimes are equivalence-tested in
+    tests/test_walks.py."""
     from opentapioca_ray.stages.exchange import (
-        coarse_group_apply,
         coarse_groupby_agg,
         default_n_parts,
         right_size,
@@ -149,17 +152,9 @@ def random_walks(
 
     adj = right_size(_rank_adjacency(directed, n_parts).materialize())
 
-    if mode == "auto":
-        # walkers == distinct nodes <= 2 * undirected edge rows; counting
-        # the src side of adj is exact and already materialized
-        n_walkers = adj.count()  # upper bound: ranked rows >= nodes
-        mode = "broadcast" if n_walkers <= pos_broadcast_limit else "auto2"
-        if mode == "auto2":
-            n_nodes = coarse_groupby_agg(
-                adj, ["src"], {"__n": ("src", "size")}, n_parts=n_parts
-            ).count()
-            mode = "broadcast" if n_nodes <= pos_broadcast_limit else "shuffle"
-    if mode == "broadcast":
+    # walkers == distinct nodes <= ranked rows; adj is materialized, so
+    # its row count costs no execution
+    if adj.count() <= _WALK_BROADCAST_LIMIT:
         return _walks_broadcast(adj, steps)
     return _walks_shuffle(adj, steps, n_parts)
 
@@ -304,7 +299,7 @@ def _walks_broadcast(adj, steps: int):
     """Broadcast-regime walk driver: static ranked-adjacency blocks, a
     per-step `ray.put` (walker, node, k) table, exactly one matching
     (src, rank) row per walker returned (O(#walkers) driver rows —
-    NODE-bounded, guarded by `pos_broadcast_limit` in random_walks)."""
+    NODE-bounded, guarded by `_WALK_BROADCAST_LIMIT` in random_walks)."""
     import ray
     import ray.data
 

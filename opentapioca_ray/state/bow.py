@@ -25,7 +25,7 @@ from opentapioca_ray.stages.exchange import arrow_blocks
 
 
 class BOWLanguageModel:
-    """In-memory scoring state; broadcast to actors via `ray.put`."""
+    """In-memory scoring state; broadcast to tasks via `ray.put`."""
 
     def __init__(self, smoothing: int = 1, threshold: int = 2):
         self.total_count = 0

@@ -7,7 +7,7 @@ default `0.01 / N`. The reference builds a scipy CSR from an externally
 GNU-sorted TSV; here edge extraction + normalization + sort are Ray Data
 stages (see pipelines/pagerank.py) and the power iteration itself is a
 numpy CSR-style kernel (no scipy in this environment) run either inside a
-single actor (small graphs) or as groupby-sum shuffles (scale path).
+single process (small graphs) or as groupby-sum shuffles (scale path).
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ Tokens are normalized with the SAME analyzer chain on the index and query
 side (functions/text.py: analyze_phrase / tokenize_with_offsets) — the
 blocking-key parity requirement.
 
-Built once per Tagger actor in `__init__` from the broadcast entities table;
+Built once per job (`stages/tagger.build_tagger_state`) from the entities table;
 matching is a per-token-position trie walk, O(text_tokens × max_key_len).
 """
 

@@ -112,9 +112,7 @@ def test_tag_documents_counts(ray_session):
 
     docs, _ = corpus()
     bow, pr = bow_and_pagerank()
-    tags = tag_documents(
-        ray.data.from_items(docs), entities(), bow, pr, concurrency=1
-    )
+    tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr)
     df = tags.to_pandas()
     d1 = df[df.doc_id == "d1"]
     assert len(d1[["start", "end"]].drop_duplicates()) == 2  # two mentions
@@ -130,11 +128,9 @@ def test_train_and_annotate_f1(ray_session):
     bow, pr = bow_and_pagerank()
     params = ClassifierParams(nb_steps=1, C=0.1)
     docs_ds = ray.data.from_items(docs)
-    tags = tag_documents(docs_ds, entities(), bow, pr, concurrency=1).materialize()
+    tags = tag_documents(docs_ds, entities(), bow, pr).materialize()
     model = train_annotation_model(tags, gold, params)
-    result = annotate(
-        docs_ds, entities(), bow, pr, model, params, concurrency=1
-    ).to_pandas()
+    result = annotate(docs_ds, entities(), bow, pr, model, params).to_pandas()
     best = result[result.is_best][["doc_id", "start", "end", "best_qid"]].drop_duplicates()
     metrics = evaluate_predictions(best, gold)
     assert metrics["f1"] >= 0.8, metrics
@@ -149,9 +145,7 @@ def test_grid_search_improves_or_matches(ray_session):
     docs, gold = corpus()
     bow, pr = bow_and_pagerank()
     docs_df = pd.DataFrame(docs)
-    tags = tag_documents(
-        ray.data.from_items(docs), entities(), bow, pr, concurrency=1
-    ).materialize()
+    tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr).materialize()
     best_params, best_f1, best_model = grid_search(
         tags,
         docs_df,

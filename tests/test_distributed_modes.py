@@ -1,5 +1,7 @@
-"""Forced distributed/shuffle regimes must match the driver small-regime
-results — the correctness contract behind the scale-adaptive switches."""
+"""Distributed/shuffle regimes must match the driver small-regime results —
+the correctness contract behind the scale-adaptive switches. Each test
+reaches the other regime by monkeypatching the module constant that
+decides it."""
 
 import numpy as np
 import pandas as pd
@@ -14,25 +16,25 @@ def _files(ray_session):
     return read_files("/root/testdata/sf0.001").materialize()
 
 
-def test_build_id_pairs_modes_agree(ray_session):
+def test_build_id_pairs_modes_agree(ray_session, monkeypatch):
     from opentapioca_ray.pipelines.linkage import build_id_pairs
+    from opentapioca_ray.stages import pairs
 
     files = _files(ray_session)
     cols = ["left_id", "right_id", "capped", "nb_bands"]
-    a = (
-        build_id_pairs(files, mode="driver")
-        .to_pandas()[cols]
-        .astype("int64")
-        .sort_values(cols)
-        .reset_index(drop=True)
-    )
-    b = (
-        build_id_pairs(files, mode="shuffle")
-        .to_pandas()[cols]
-        .astype("int64")
-        .sort_values(cols)
-        .reset_index(drop=True)
-    )
+
+    def run():
+        return (
+            build_id_pairs(files)
+            .to_pandas()[cols]
+            .astype("int64")
+            .sort_values(cols)
+            .reset_index(drop=True)
+        )
+
+    a = run()
+    monkeypatch.setattr(pairs, "DRIVER_COMBINE_LIMIT", 0)
+    b = run()
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
 
@@ -156,7 +158,8 @@ def test_linkage_distributed_matches_adaptive(ray_session):
     assert DRIVER_COLLECTS["pairs_proportional"] == before
 
 
-def test_attach_pair_tokens_modes_agree(ray_session):
+def test_attach_pair_tokens_modes_agree(ray_session, monkeypatch):
+    from opentapioca_ray.pipelines import linkage
     from opentapioca_ray.pipelines.linkage import (
         DRIVER_COLLECTS,
         attach_pair_tokens,
@@ -164,14 +167,15 @@ def test_attach_pair_tokens_modes_agree(ray_session):
     )
 
     files = _files(ray_session)
-    pairs = build_id_pairs(files, mode="driver").materialize()
+    pairs = build_id_pairs(files).materialize()
     cols = [
         "left_id", "right_id", "capped", "nb_bands",
         "left_repo", "left_packed", "right_repo", "right_packed",
     ]
-    a = attach_pair_tokens(pairs, files, mode="driver").to_pandas()[cols]
+    a = attach_pair_tokens(pairs, files).to_pandas()[cols]
     before = DRIVER_COLLECTS["pairs_proportional"]
-    b = attach_pair_tokens(pairs, files, mode="shuffle").to_pandas()[cols]
+    monkeypatch.setattr(linkage, "_DRIVER_ATTACH_LIMIT", 0)
+    b = attach_pair_tokens(pairs, files).to_pandas()[cols]
     assert DRIVER_COLLECTS["pairs_proportional"] == before
     a = a.sort_values(cols).reset_index(drop=True)
     b = b.sort_values(cols).reset_index(drop=True)
@@ -180,7 +184,12 @@ def test_attach_pair_tokens_modes_agree(ray_session):
 
 
 def test_sorted_edge_arrays_modes_agree(ray_session):
+    """The driver sort returns the collected edges in (src, dst) order,
+    the rows of one `np.lexsort` over them."""
+    import pyarrow as pa
     import ray.data
+
+    from opentapioca_ray.stages.exchange import arrow_blocks
 
     from opentapioca_ray.pipelines.pagerank import (
         count_edges,
@@ -192,14 +201,18 @@ def test_sorted_edge_arrays_modes_agree(ray_session):
         "/root/testdata/sf0.001/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
     )
     edges = normalize_edges(count_edges(li, "l_partkey", "l_suppkey")).materialize()
-    s1, d1, w1 = sorted_edge_arrays(edges, mode="driver")
-    s2, d2, w2 = sorted_edge_arrays(edges, mode="shuffle")
-    assert np.array_equal(s1, s2)
-    assert np.array_equal(d1, d2)
-    assert np.allclose(w1, w2)
+    s1, d1, w1 = sorted_edge_arrays(edges)
+    t = pa.concat_tables([b for b in arrow_blocks(edges) if b.num_rows])
+    s2, d2, w2 = (t.column(c).to_numpy() for c in ("src", "dst", "weight"))
+    o = np.lexsort((d2, s2))
+    assert len(s1) > 0 and np.all(np.diff(s1) >= 0)
+    assert np.array_equal(s1, s2[o])
+    assert np.array_equal(d1, d2[o])
+    assert np.array_equal(w1, w2[o])
 
 
-def test_ngram_jaccard_modes_agree(ray_session):
+def test_ngram_jaccard_modes_agree(ray_session, monkeypatch):
+    from opentapioca_ray.stages import dedup
     from opentapioca_ray.stages.dedup import ngram_jaccard_pairs
 
     import ray.data
@@ -207,20 +220,20 @@ def test_ngram_jaccard_modes_agree(ray_session):
     docs = ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet")
     cols = ["u", "v", "jaccard"]
 
-    def run(mode):
+    def run():
         df = ngram_jaccard_pairs(
             ray.data.read_parquet("/root/testdata/sf0.001/documents.parquet"),
             id_column="doc_id",
             text_column="text",
             k=3,
             threshold=0.5,
-            mode=mode,
         ).to_pandas()[cols]
         df["jaccard"] = df["jaccard"].round(9)
         return df.sort_values(cols).reset_index(drop=True)
 
-    a = run("driver")
-    b = run("shuffle")
+    a = run()
+    monkeypatch.setattr(dedup, "_NGRAM_DRIVER_LIMIT", 0)
+    b = run()
     assert len(a) > 0
     pd.testing.assert_frame_equal(a, b)
 
@@ -236,7 +249,7 @@ def test_corpus_stats_modes_agree(ray_session, monkeypatch):
     assert idf_a == idf_b and prior_a == prior_b
 
 
-def test_prefilter_modes_agree(ray_session):
+def test_prefilter_modes_agree(ray_session, monkeypatch):
     """The distributed prefilter (combiner counts + coarse_semi_join; no
     driver key-set collect) must keep exactly the rows the driver-count
     path keeps — int and string keys, with and without max_size."""
@@ -245,6 +258,7 @@ def test_prefilter_modes_agree(ray_session):
     import pyarrow as pa
     import ray.data
 
+    from opentapioca_ray.stages import pairs
     from opentapioca_ray.stages.pairs import prefilter_singleton_blocks
 
     rng = np.random.default_rng(5)
@@ -266,18 +280,17 @@ def test_prefilter_modes_agree(ray_session):
             }
         )
     ).repartition(6)
+    driver_limit = pairs.DRIVER_COMBINE_LIMIT
     for ds in (blocks_int, blocks_str):
         for max_size in (None, 4):
             out = {}
-            for mode in ("driver", "shuffle"):
-                df = (
-                    prefilter_singleton_blocks(
-                        ds, min_size=2, max_size=max_size, mode=mode
-                    )
+            for mode, limit in (("driver", driver_limit), ("shuffle", 0)):
+                monkeypatch.setattr(pairs, "DRIVER_COMBINE_LIMIT", limit)
+                out[mode] = (
+                    prefilter_singleton_blocks(ds, min_size=2, max_size=max_size)
                     .to_pandas()
                     .sort_values(["block_key", "file_id"])
                     .reset_index(drop=True)
                 )
-                out[mode] = df
             assert len(out["driver"]) > 0
             pd.testing.assert_frame_equal(out["driver"], out["shuffle"])

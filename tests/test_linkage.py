@@ -220,7 +220,7 @@ def _sorted_pairs(ds):
 
 def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
     """The one-pass front yields the same idf, prior and driver pairs as
-    `corpus_stats` + `build_id_pairs(mode="driver")`, over several blocks
+    `corpus_stats` + `build_id_pairs` (driver regime), over several blocks
     (one of them empty); also through the stats merge's exchange and
     `build_id_pairs`' shuffle fallback, and with `idf`/`prior` passed in
     (then no stats rows are emitted)."""
@@ -238,7 +238,7 @@ def test_front_pass_matches_separate_passes(ray_session, monkeypatch):
     args = (128, 32, 3, 4, 2)
 
     idf, prior = corpus_stats(files)
-    expect = _sorted_pairs(build_id_pairs(files, *args, mode="driver"))
+    expect = _sorted_pairs(build_id_pairs(files, *args))
     assert len(expect) > 0
     front_idf, front_prior, pairs = _front_pass(files, None, None, *args)
     assert front_idf == idf and list(front_idf) == list(idf)
@@ -361,13 +361,15 @@ def test_linkage_checkpointed_rebuilds_rewritten_input(ray_session, tmp_path):
 def test_build_id_pairs_driver_regime_matches_shuffle(ray_session, monkeypatch):
     """The driver regime (one execution: band rows materialized, keys
     counted and pairs built from those blocks) emits the same
-    (left_id, right_id, capped, nb_bands) as the forced shuffle path, on a
+    (left_id, right_id, capped, nb_bands) as the shuffle path (reached with
+    `DRIVER_COMBINE_LIMIT` at 0), on a
     corpus whose two sets of 8 identical files form blocks over `max_block_size`; and
     so does the distributed fallback above `_DRIVER_PAIRS_LIMIT`."""
     import ray.data
 
     from opentapioca_ray.pipelines import linkage
     from opentapioca_ray.pipelines.linkage import DRIVER_COLLECTS, build_id_pairs
+    from opentapioca_ray.stages import pairs as pairs_stage
 
     files_df, _ = synthesize_files(
         n_clusters=4, cluster_size=3, n_singletons=20, seed=11
@@ -379,8 +381,8 @@ def test_build_id_pairs_driver_regime_matches_shuffle(ray_session, monkeypatch):
     files = ray.data.from_pandas(pd.concat([files_df, twins])).materialize()
     cols = ["left_id", "right_id", "capped", "nb_bands"]
 
-    def pairs(mode):
-        out = build_id_pairs(files, max_block_size=4, window=2, mode=mode)
+    def pairs():
+        out = build_id_pairs(files, max_block_size=4, window=2)
         return (
             out.to_pandas()[cols]
             .astype("int64")
@@ -389,13 +391,15 @@ def test_build_id_pairs_driver_regime_matches_shuffle(ray_session, monkeypatch):
         )
 
     before = DRIVER_COLLECTS["pairs_proportional"]
-    driver = pairs("auto")
+    driver = pairs()
     assert DRIVER_COLLECTS["pairs_proportional"] == before + 1
-    shuffle = pairs("shuffle")
+    with monkeypatch.context() as m:
+        m.setattr(pairs_stage, "DRIVER_COMBINE_LIMIT", 0)
+        shuffle = pairs()
     assert (driver["capped"] > 0).any()
     pd.testing.assert_frame_equal(driver, shuffle)
 
     monkeypatch.setattr(linkage, "_DRIVER_PAIRS_LIMIT", 0)
-    fallback = pairs("auto")
+    fallback = pairs()
     assert DRIVER_COLLECTS["pairs_proportional"] == before + 1
     pd.testing.assert_frame_equal(fallback, shuffle)

@@ -82,10 +82,9 @@ def test_image_feature_stage_is_normalized(ray_session):
 
     ds = _media(ray_session)
     out = ds.map_batches(
-        ImageFeatureStage,
+        lambda b: ImageFeatureStage()(b),
         batch_size=MEDIA_BATCH_SIZE,
         batch_format="pyarrow",
-        concurrency=(1, 2),
     ).take_all()
     by_id = {r["media_id"]: np.array(r["feature"]) for r in out}
     assert len(by_id[0]) == 64

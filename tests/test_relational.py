@@ -49,9 +49,10 @@ def test_broadcast_join_rejects_dup_keys(ray_session):
         broadcast_join(facts, dup, "fk", "k", ["name"])
 
 
-def test_semi_join_modes_equivalent(ray_session):
+def test_semi_join_modes_equivalent(ray_session, monkeypatch):
     import ray.data
 
+    from opentapioca_ray.stages import relational
     from opentapioca_ray.stages.relational import semi_join
 
     probe = ray.data.from_items(
@@ -60,23 +61,26 @@ def test_semi_join_modes_equivalent(ray_session):
     build = ray.data.from_items([{"k": i * 3} for i in range(10)])  # 0,3,..27
     want_semi = sorted(i for i in range(50) if i % 3 == 0 and i <= 27)
     want_anti = sorted(i for i in range(50) if not (i % 3 == 0 and i <= 27))
-    for mode in ["broadcast", "shuffle"]:
-        semi = semi_join(probe, build, "id", "k", mode=mode).take_all()
-        anti = semi_join(probe, build, "id", "k", anti=True, mode=mode).take_all()
+    for mode, limit in [("broadcast", relational._SEMI_BROADCAST_LIMIT), ("shuffle", 0)]:
+        monkeypatch.setattr(relational, "_SEMI_BROADCAST_LIMIT", limit)
+        semi = semi_join(probe, build, "id", "k").take_all()
+        anti = semi_join(probe, build, "id", "k", anti=True).take_all()
         assert sorted(r["id"] for r in semi) == want_semi, mode
         assert sorted(r["id"] for r in anti) == want_anti, mode
         # payload columns survive the exchange
         assert all(r["val"] == f"v{r['id']}" for r in semi)
 
 
-def test_semi_join_auto_falls_back_to_shuffle(ray_session):
+def test_semi_join_auto_falls_back_to_shuffle(ray_session, monkeypatch):
     import ray.data
 
+    from opentapioca_ray.stages import relational
     from opentapioca_ray.stages.relational import semi_join
 
     probe = ray.data.from_items([{"id": i} for i in range(40)])
     build = ray.data.from_items([{"k": i} for i in range(0, 40, 2)])
-    out = semi_join(probe, build, "id", "k", mode="auto", broadcast_limit=5).take_all()
+    monkeypatch.setattr(relational, "_SEMI_BROADCAST_LIMIT", 5)
+    out = semi_join(probe, build, "id", "k").take_all()
     assert sorted(r["id"] for r in out) == list(range(0, 40, 2))
 
 

@@ -141,17 +141,15 @@ def test_tagger_stage_map_batches(ray_session, vanuatu_setup):
             {"doc_id": "c", "text": "nothing here"},
         ]
     )
+    refs = {
+        "entities_ref": ray.put(ents),
+        "bow_ref": ray.put(
+            {"word_count": bow.word_count, "total_count": bow.total_count}
+        ),
+        "pagerank_ref": ray.put(graph.pagerank),
+    }
     out = ds.map_batches(
-        TaggerStage,
-        fn_constructor_kwargs={
-            "entities_ref": ray.put(ents),
-            "bow_ref": ray.put(
-                {"word_count": bow.word_count, "total_count": bow.total_count}
-            ),
-            "pagerank_ref": ray.put(graph.pagerank),
-        },
-        batch_format="pyarrow",
-        concurrency=1,
+        lambda b: TaggerStage(**refs)(b), batch_format="pyarrow"
     ).take_all()
     by_doc = {}
     for r in out:
@@ -162,8 +160,9 @@ def test_tagger_stage_map_batches(ray_session, vanuatu_setup):
 
 
 def test_actors_mode_shared_state_matches_tasks_mode(ray_session, vanuatu_setup):
-    """`mode='actors'` adopts the job-wide prebuilt TaggerSharedState; its
-    output must equal the per-batch tasks-mode build row for row."""
+    """`tag_documents` tags from ONE prebuilt TaggerSharedState; its output
+    must equal a per-batch `TaggerStage(entities_ref=...)` build row for
+    row."""
     import ray
     import ray.data
 
@@ -177,17 +176,24 @@ def test_actors_mode_shared_state_matches_tasks_mode(ray_session, vanuatu_setup)
     ]
     bow_counts = {"word_count": bow.word_count, "total_count": bow.total_count}
 
-    def rows(mode):
-        ds = ray.data.from_items(docs)
-        out = tag_documents(
-            ds, ents, bow_counts, graph.pagerank, mode=mode, concurrency=2
-        ).take_all()
+    refs = {
+        "entities_ref": ray.put(ents),
+        "bow_ref": ray.put(bow_counts),
+        "pagerank_ref": ray.put(graph.pagerank),
+    }
+
+    def rows(out):
         return sorted(
             (r["doc_id"], r["start"], r["end"], r["qid"], round(r["rank"], 9))
             for r in out
         )
 
-    assert rows("actors") == rows("tasks")
+    ds = ray.data.from_items(docs).repartition(2)
+    shared = rows(tag_documents(ds, ents, bow_counts, graph.pagerank).take_all())
+    per_batch = rows(
+        ds.map_batches(lambda b: TaggerStage(**refs)(b), batch_format="pyarrow").take_all()
+    )
+    assert shared and shared == per_batch
 
 
 def test_prebuilt_state_top_k_must_agree(vanuatu_setup):

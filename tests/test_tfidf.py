@@ -4,7 +4,17 @@ import pyarrow as pa
 import pytest
 import ray.data
 
+from opentapioca_ray.stages import tfidf
 from opentapioca_ray.stages.tfidf import _tf_batch, tfidf_top_terms
+
+
+def _top_terms(monkeypatch, mode, ds, **kw):
+    """`tfidf_top_terms` in its broadcast regime, or with the vocabulary
+    limit at 0 (the reduce-side join)."""
+    with monkeypatch.context() as m:
+        if mode == "shuffle":
+            m.setattr(tfidf, "_VOCAB_BROADCAST_LIMIT", 0)
+        return tfidf_top_terms(ds, "doc_id", "text", **kw).to_pandas()
 
 
 def test_tf_batch_counts():
@@ -17,22 +27,20 @@ def test_tf_batch_counts():
 
 
 @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
-def test_tfidf_rare_term_wins(ray_session, mode):
+def test_tfidf_rare_term_wins(ray_session, monkeypatch, mode):
     # 'zebra' appears once in the corpus -> highest idf in doc 1
     rows = [
         {"doc_id": 1, "text": "common common zebra"},
         {"doc_id": 2, "text": "common word word"},
         {"doc_id": 3, "text": "common word other"},
     ]
-    out = tfidf_top_terms(
-        ray.data.from_items(rows), "doc_id", "text", top_n=1, mode=mode
-    ).to_pandas()
+    out = _top_terms(monkeypatch, mode, ray.data.from_items(rows), top_n=1)
     top = {r.doc_id: r.word for r in out.itertuples()}
     assert top[1] == "zebra"
     assert (out["rk"] == 1).all()
 
 
-def test_tfidf_modes_equivalent(ray_session):
+def test_tfidf_modes_equivalent(ray_session, monkeypatch):
     rng = np.random.RandomState(3)
     words = ["w%d" % i for i in range(30)]
     rows = [
@@ -40,17 +48,11 @@ def test_tfidf_modes_equivalent(ray_session):
         for i in range(40)
     ]
     ds = ray.data.from_items(rows)
-    a = (
-        tfidf_top_terms(ds, "doc_id", "text", top_n=3, mode="broadcast")
-        .to_pandas()
+    a, b = (
+        _top_terms(monkeypatch, mode, ds, top_n=3)
         .sort_values(["doc_id", "rk"])
         .reset_index(drop=True)
-    )
-    b = (
-        tfidf_top_terms(ds, "doc_id", "text", top_n=3, mode="shuffle")
-        .to_pandas()
-        .sort_values(["doc_id", "rk"])
-        .reset_index(drop=True)
+        for mode in ("broadcast", "shuffle")
     )
     assert a.values.tolist() == b.values.tolist()
 

@@ -36,7 +36,7 @@ def test_cooccurrence_edges_distinct(ray_session):
 
 
 @pytest.mark.parametrize("mode", ["broadcast", "shuffle"])
-def test_count_triangles_known_graph(ray_session, mode):
+def test_count_triangles_known_graph(ray_session, monkeypatch, mode):
     # square 1-2-3-4 with one diagonal (1,3): exactly 2 triangles
     edges = [
         {"u": 1, "v": 2},
@@ -45,7 +45,11 @@ def test_count_triangles_known_graph(ray_session, mode):
         {"u": 1, "v": 4},
         {"u": 1, "v": 3},
     ]
-    got = count_triangles(ray.data.from_items(edges), mode=mode).take_all()
+    if mode == "shuffle":
+        from opentapioca_ray.stages import triangles
+
+        monkeypatch.setattr(triangles, "_DEG_BROADCAST_LIMIT", 0)
+    got = count_triangles(ray.data.from_items(edges)).take_all()
     assert got[0]["n_triangles"] == 2
 
 

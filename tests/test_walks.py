@@ -71,7 +71,7 @@ def test_walks_are_reproducible(ray_session):
     )
     assert r1 == r2  # independent of partitioning and block layout
 
-def test_walks_broadcast_equals_shuffle(ray_session):
+def test_walks_broadcast_equals_shuffle(ray_session, monkeypatch):
     import ray.data
 
     from opentapioca_ray.stages.walks import random_walks
@@ -84,13 +84,16 @@ def test_walks_broadcast_equals_shuffle(ray_session):
         }
     )
     ds = ray.data.from_items([{"u": u, "v": v} for u, v in edges])
+    from opentapioca_ray.stages import walks
+
     bc = sorted(
         (r["walker"], r["step"], r["node"])
-        for r in random_walks(ds, steps=3, n_parts=4, mode="broadcast").take_all()
+        for r in random_walks(ds, steps=3, n_parts=4).take_all()
     )
+    monkeypatch.setattr(walks, "_WALK_BROADCAST_LIMIT", 0)
     sh = sorted(
         (r["walker"], r["step"], r["node"])
-        for r in random_walks(ds, steps=3, n_parts=4, mode="shuffle").take_all()
+        for r in random_walks(ds, steps=3, n_parts=4).take_all()
     )
     assert bc == sh
     assert set(bc) == _replay(edges, 3)

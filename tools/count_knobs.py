@@ -4,7 +4,8 @@ Prints four numbers, one per line:
   lines     total lines of the package's .py files
   defaults  parameters of `def` functions that have a default value
             (positional and keyword-only, found with `ast`)
-  auto      `mode: str = "auto"` sites (caller-set regime switches)
+  regime    parameters named `mode` or `concurrency` that have a default
+            (caller-set regime switches, found with `ast`)
   limits    lines that name a `_LIMIT =`, `_THRESHOLD =` or
             `local_threshold` (size constants and cut-offs)
 
@@ -18,23 +19,25 @@ import re
 import sys
 from pathlib import Path
 
-_AUTO = 'mode: str = "auto"'
+_REGIME = {"mode", "concurrency"}
 _LIMIT = re.compile(r"_LIMIT =|_THRESHOLD =|local_threshold")
 
 
 def count(package: Path) -> dict[str, int]:
-    out = {"lines": 0, "defaults": 0, "auto": 0, "limits": 0}
+    out = {"lines": 0, "defaults": 0, "regime": 0, "limits": 0}
     for path in sorted(package.rglob("*.py")):
         text = path.read_text()
         lines = text.splitlines()
         out["lines"] += len(lines)
-        out["auto"] += text.count(_AUTO)
         out["limits"] += sum(1 for line in lines if _LIMIT.search(line))
         for node in ast.walk(ast.parse(text, filename=str(path))):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = node.args
-                out["defaults"] += len(args.defaults)
-                out["defaults"] += sum(1 for d in args.kw_defaults if d is not None)
+                positional = args.posonlyargs + args.args
+                defaulted = positional[len(positional) - len(args.defaults):]
+                defaulted += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+                out["defaults"] += len(defaulted)
+                out["regime"] += sum(1 for a in defaulted if a.arg in _REGIME)
     return out
 
 
