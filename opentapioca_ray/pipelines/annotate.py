@@ -31,7 +31,6 @@ from opentapioca_ray.stages.classify import (
     evaluate_predictions,
     per_document_apply,
 )
-from opentapioca_ray.stages.tagger import TaggerStage
 from opentapioca_ray.state.linear import LinearModel
 
 
@@ -45,22 +44,20 @@ def tag_documents(
 ):
     """documents -> flat (mention, tag) rows.
 
-    The tagger state (catalog, compiled automaton, BOW/pagerank models and
-    tag tables, `build_tagger_state`) is built ONCE on the driver, where
+    The tagger state (compiled automaton, BOW model and rank-sorted tag
+    tables, `build_tagger_state`) is built ONCE on the driver, where
     `entities` already lives, and `ray.put` once; the batches are tagged
-    on tasks, each worker process resolving the state once
-    (`stages/pairs._resolve_cached`) as `score_pairs` does. No actor pool:
+    on tasks by one `TaggerStage` per worker process (`worker_tagger`),
+    whose memo caches stay warm across the job's batches. No actor pool:
     a pool would hold CPUs that its upstream read tasks wait for."""
     import ray
 
-    from opentapioca_ray.stages.tagger import build_tagger_state
+    from opentapioca_ray.stages.tagger import build_tagger_state, worker_tagger
 
     state_ref = ray.put(build_tagger_state(entities, bow_counts, pagerank))
 
     def tag_batch(batch: pa.Table) -> pa.Table:
-        return TaggerStage(
-            state_ref=state_ref, doc_id_column=doc_id_column, text_column=text_column
-        )(batch)
+        return worker_tagger(state_ref, doc_id_column, text_column)(batch)
 
     return docs_ds.map_batches(tag_batch, batch_format="pyarrow")
 

@@ -786,14 +786,9 @@ def linkage_clusters(
             stats_idf, stats_prior = corpus_stats(files_ds)
             idf = stats_idf if idf is None else idf
             prior = stats_prior if prior is None else prior
-        if distributed:
-            pairs = _shuffle_id_pairs(
-                _band_rows(files_ds, num_perm, bands, shingle_k), max_block_size, window
-            )
-        else:
-            pairs = build_id_pairs(
-                files_ds, num_perm, bands, shingle_k, max_block_size, window
-            )
+        pairs = _shuffle_id_pairs(
+            _band_rows(files_ds, num_perm, bands, shingle_k), max_block_size, window
+        )
     if distributed:
         pairs = pairs.materialize()
         enriched = _shuffle_attach(pairs, files_ds) if pairs.count() else None

@@ -116,20 +116,19 @@ def tag_document(
 
 
 class TaggerSharedState:
-    """Immutable, build-ONCE tagger state: the entity catalog, the compiled
-    int-code automaton, the BOW/pagerank models and the flattened per-state
-    tag tables. `pipelines/annotate.tag_documents` builds it once on the
-    driver with `build_tagger_state` and shares it with every task through
-    the object store — at full dictionary scale (millions of surface forms)
+    """Immutable, build-ONCE tagger state: the compiled int-code automaton,
+    the BOW model and the flattened per-state tag tables (the entity
+    catalog and pagerank model they come from stay with the builder).
+    `pipelines/annotate.tag_documents` builds it once on the driver with
+    `build_tagger_state` and shares it with every task through the object
+    store — at full dictionary scale (millions of surface forms)
     the trie + automaton compile is minutes of CPU, paid once per job.
     Everything here is read-only after construction; the MUTABLE memo
     caches stay on `TaggerStage`."""
 
     __slots__ = (
-        "catalog",
         "matcher",
         "bow",
-        "graph",
         "top_k",
         "node_off",
         "node_ntags",
@@ -149,7 +148,7 @@ def build_tagger_state(
     import numpy as np
 
     st = TaggerSharedState()
-    st.catalog = EntityCatalog(entities)
+    catalog = EntityCatalog(entities)
     if bow is None:
         bow = BOWLanguageModel.from_counts({}, 0)
     elif isinstance(bow, dict):
@@ -157,20 +156,20 @@ def build_tagger_state(
     st.bow = bow
     if pagerank is None:
         pagerank = np.array([1.0])
-    st.graph = pagerank_from_vector(pagerank)
+    graph = pagerank_from_vector(pagerank)
     st.top_k = top_k
-    st.matcher = st.catalog.trie.compiled()
+    st.matcher = catalog.trie.compiled()
 
     def tags_of(ids):
         tags = []
         for eid in ids:
-            rec = st.catalog.docs[eid]
+            rec = catalog.docs[eid]
             numeric = (
                 int(eid[1:])
                 if eid[:1] in ("Q", "R") and eid[1:].isdigit()
                 else -1
             )
-            tags.append((rec, st.graph.rank_feature(numeric)))
+            tags.append((rec, graph.rank_feature(numeric)))
         tags.sort(key=lambda t: -t[1])
         return tags[:top_k]
 
@@ -214,9 +213,8 @@ class TaggerStage:
 
     Pass `state_ref` (a PREBUILT `TaggerSharedState` from
     `build_tagger_state`, or a `ray.ObjectRef` to one) to skip the
-    catalog/automaton build: `pipelines/annotate.tag_documents` does this,
-    and each worker process resolves the ref once
-    (`stages/pairs._resolve_cached`). Otherwise the state is built from
+    catalog/automaton build; `pipelines/annotate.tag_documents` reaches
+    it through `worker_tagger`. Otherwise the state is built from
     `entities_ref`, `bow_ref` and `pagerank_ref` (values or refs).
     """
 
@@ -233,7 +231,10 @@ class TaggerStage:
         prune: bool = True,
         state_ref=None,
     ):
-        from opentapioca_ray.stages.pairs import _resolve_cached as resolve
+        import ray
+
+        def resolve(x):
+            return ray.get(x) if isinstance(x, ray.ObjectRef) else x
 
         if state_ref is not None:
             state = resolve(state_ref)
@@ -249,9 +250,7 @@ class TaggerStage:
                 resolve(pagerank_ref),
                 top_k=top_k,
             )
-        self.catalog = state.catalog
         self.bow = state.bow
-        self.graph = state.graph
         self.doc_id_column = doc_id_column
         self.text_column = text_column
         self.max_length = max_length
@@ -468,3 +467,26 @@ class TaggerStage:
             },
             schema=TAGS_SCHEMA,
         )
+
+
+# The one tagger of this worker process: (key, TaggerStage) for the state
+# it last tagged with. Batches and tasks of one `tag_documents` job share
+# its memo caches, and a worker holds at most one tagger state, which the
+# next job's state replaces.
+_WORKER_TAGGER: tuple = (None, None)
+
+
+def worker_tagger(state_ref, doc_id_column: str, text_column: str) -> TaggerStage:
+    """This worker's `TaggerStage` over the prebuilt state `state_ref`;
+    the ref is resolved once per worker and job, not once per batch."""
+    global _WORKER_TAGGER
+    key = (state_ref.hex(), doc_id_column, text_column)
+    if _WORKER_TAGGER[0] != key:
+        _WORKER_TAGGER = (None, None)  # free the old state before the new one lands
+        _WORKER_TAGGER = (
+            key,
+            TaggerStage(
+                state_ref=state_ref, doc_id_column=doc_id_column, text_column=text_column
+            ),
+        )
+    return _WORKER_TAGGER[1]

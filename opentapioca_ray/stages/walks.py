@@ -99,8 +99,9 @@ def _rank_adjacency(directed, n_parts: int):
     return coarse_group_apply(directed, "src", kernel, n_parts=n_parts)
 
 
-# Ranked adjacency rows (>= #walkers, one per node) up to which the walk
-# takes the broadcast regime; the exchange-per-step regime above it.
+# Ranked adjacency rows (one per directed edge, an upper bound on
+# #walkers) up to which the walk takes the broadcast regime; the
+# exchange-per-step regime above it.
 _WALK_BROADCAST_LIMIT = 2_000_000
 
 

@@ -207,3 +207,23 @@ def test_prebuilt_state_top_k_must_agree(vanuatu_setup):
     assert TaggerStage(state_ref=state, top_k=3).top_k == 3
     with pytest.raises(ValueError, match="top_k"):
         TaggerStage(state_ref=state)  # default top_k=10
+
+
+def test_worker_tagger_one_stage_per_state(ray_session, vanuatu_setup):
+    """A worker keeps one `TaggerStage` for the state it last tagged with:
+    batches of one job share it (and its memo caches), and a new state
+    replaces it instead of piling up beside it."""
+    import ray
+
+    from opentapioca_ray.stages import tagger
+    from opentapioca_ray.stages.tagger import build_tagger_state, worker_tagger
+
+    ents, _, bow, graph = vanuatu_setup
+    bow_counts = {"word_count": bow.word_count, "total_count": bow.total_count}
+    first = ray.put(build_tagger_state(ents, bow_counts, graph.pagerank))
+    second = ray.put(build_tagger_state(ents, bow_counts, graph.pagerank))
+    stage = worker_tagger(first, "doc_id", "text")
+    assert worker_tagger(first, "doc_id", "text") is stage
+    replaced = worker_tagger(second, "doc_id", "text")
+    assert replaced is not stage
+    assert tagger._WORKER_TAGGER == ((second.hex(), "doc_id", "text"), replaced)
