@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from typing import Any
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 # The reference tokenizer's separator regex (languagemodel.py:9), reused in
 # the DuckDB oracles so both sides tokenize identically (ASCII corpus).
@@ -3191,14 +3191,13 @@ def _q_pivot_editing_cost(sf_dir: str):
     cross) separating the clustering from disjoint cliques — the exact
     quantity CC-Pivot 3-approximates, now measured."""
     import pyarrow as pa
-    import ray.data
 
     from opentapioca_ray.stages.blocking_eval import clustering_disagreement
 
     pairs, _ = _ngram_cc(sf_dir)
     piv = _q_pivot_clusters(sf_dir)
     if isinstance(piv, pa.Table):
-        piv = ray.data.from_arrow(piv)
+        piv = driver_dataset(piv)
     clusters = piv.select_columns(["doc_id", "cluster"])
     return clustering_disagreement(pairs, clusters, "doc_id", "cluster")
 
@@ -8352,8 +8351,6 @@ def _q_orphan_rate(sf_dir: str):
     Counts exact; the rate is one quantized expression."""
     import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from opentapioca_ray.stages.exchange import coarse_semi_join
 
@@ -8410,7 +8407,7 @@ def _q_orphan_rate(sf_dir: str):
         orphans = total - matched
         rate = int(np.floor(1e6 * orphans / total + 0.5)) if total else 0
         rows.append((name, total, orphans, rate))
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "relation": pa.array([r[0] for r in rows], pa.string()),
@@ -8526,8 +8523,6 @@ def _q_benford_digits(sf_dir: str):
     one fixed quantized expression, no accumulation."""
     import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from opentapioca_ray.stages.aggregates import partial_sum_count
 
@@ -8568,7 +8563,7 @@ def _q_benford_digits(sf_dir: str):
         ]
     )
     if not rows:
-        return ray.data.from_arrow(schema.empty_table())
+        return driver_dataset(schema.empty_table())
     t = pa.concat_tables([r.cast(rows[0].schema) for r in rows])
     dig = t.column("digit").to_numpy(zero_copy_only=False).astype(np.int64)
     obs = t.column("observed").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -8577,7 +8572,7 @@ def _q_benford_digits(sf_dir: str):
     exp = n * np.log10(1.0 + 1.0 / dig)
     d_o = obs - exp
     cell = 1e6 * d_o * d_o / exp
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "digit": pa.array(dig),
@@ -8794,8 +8789,6 @@ def _q_token_apportionment(sf_dir: str):
     import numpy as np
     import pandas as pd
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from opentapioca_ray.functions.textstats import whitespace_token_lists
     from opentapioca_ray.stages.aggregates import partial_sum_count
@@ -8835,7 +8828,7 @@ def _q_token_apportionment(sf_dir: str):
         ]
     )
     if not rows:
-        return ray.data.from_arrow(schema.empty_table())
+        return driver_dataset(schema.empty_table())
     df = (
         pd.concat(rows)
         .groupby("source", sort=True)
@@ -8850,7 +8843,7 @@ def _q_token_apportionment(sf_dir: str):
     order = np.lexsort((df["source"].to_numpy(), -rem))
     bonus = np.zeros(len(df), dtype=np.int64)
     bonus[order[:leftover]] = 1
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "source": pa.array(df["source"].to_numpy(), pa.string()),
@@ -9090,8 +9083,6 @@ def _q_blocking_modularity(sf_dir: str):
     expression."""
     import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from opentapioca_ray.functions.textstats import whitespace_token_lists
     from opentapioca_ray.stages.exchange import coarse_groupby_agg, right_size
@@ -9239,7 +9230,7 @@ def _q_blocking_modularity(sf_dir: str):
         if m
         else 0
     )
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "m": pa.array([m], pa.int64()),
@@ -9561,8 +9552,6 @@ def _q_chi2_cells(sf_dir: str):
     bit-for-bit."""
     import numpy as np
     import pyarrow as pa
-    import ray
-    import ray.data
 
     from opentapioca_ray.stages.aggregates import partial_multi_sum_count
     from opentapioca_ray.stages.sketches import _md5_u64
@@ -9600,7 +9589,7 @@ def _q_chi2_cells(sf_dir: str):
         ]
     )
     if not parts:
-        return ray.data.from_arrow(schema.empty_table())
+        return driver_dataset(schema.empty_table())
     t = pa.concat_tables([p.cast(parts[0].schema) for p in parts])
     et = t.column("event_type").to_numpy(zero_copy_only=False)
     am = t.column("arm").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -9614,7 +9603,7 @@ def _q_chi2_cells(sf_dir: str):
     e = 1e6 * rt * ct / n
     d = o - rt.astype(np.float64) * ct / n
     cell = 1e6 * d * d / (rt.astype(np.float64) * ct / n)
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "event_type": pa.array(et, pa.string()),

@@ -350,7 +350,6 @@ def cmd_index_stream(args) -> int:
 
     import pyarrow as pa
     import pyarrow.parquet as pq
-    import ray.data
 
     from opentapioca_ray.sources.stream import (
         EventStreamReader,
@@ -358,6 +357,7 @@ def cmd_index_stream(args) -> int:
         tail_jsonl_events,
     )
     from opentapioca_ray.stages.dedup import compact_by_key
+    from opentapioca_ray.stages.exchange import driver_dataset
 
     offset_file = args.offset_file or (args.events + ".offset")
     offset = (
@@ -401,10 +401,10 @@ def cmd_index_stream(args) -> int:
             batch_format="pyarrow",
         )
         merged = compact_by_key(
-            base.union(ray.data.from_arrow(delta)), key="id", version="seq"
+            base.union(driver_dataset(delta)), key="id", version="seq"
         )
     else:
-        merged = compact_by_key(ray.data.from_arrow(delta), key="id", version="seq")
+        merged = compact_by_key(driver_dataset(delta), key="id", version="seq")
     os.makedirs(args.output, exist_ok=True)
     merged.write_parquet(args.output)
     with open(offset_file, "w") as f:

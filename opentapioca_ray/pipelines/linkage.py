@@ -34,7 +34,12 @@ from opentapioca_ray.stages.pairs import (
     blocking_batch,
 )
 from opentapioca_ray.state.linear import LinearModel
-from opentapioca_ray.stages.exchange import arrow_blocks, sum_partials
+from opentapioca_ray.stages.exchange import (
+    arrow_blocks,
+    driver_dataset,
+    materialized,
+    sum_partials,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +196,9 @@ def match_edges(scored_unique_ds, threshold: float = 0.0):
 
 def _driver_match_edges(scored, threshold: float):
     """`match_edges` of a MATERIALIZED scored dataset, filtered on the driver
-    over its blocks (no execution) and returned as ONE `from_arrow` block."""
-    import ray.data as rd
-
+    over its blocks (no execution) and returned as ONE `driver_dataset`
+    block, which `connected_components` reads without materializing it
+    again."""
     DRIVER_COLLECTS["pairs_proportional"] += 1  # scored pairs
     edges = [
         _edges_of(t, threshold)
@@ -201,10 +206,10 @@ def _driver_match_edges(scored, threshold: float):
         if t.num_rows and "score" in t.column_names
     ]
     if not edges:
-        return rd.from_arrow(
+        return driver_dataset(
             pa.schema([("u", pa.int64()), ("v", pa.int64())]).empty_table()
         )
-    return rd.from_arrow(pa.concat_tables(edges).combine_chunks())
+    return driver_dataset(pa.concat_tables(edges).combine_chunks())
 
 
 _DRIVER_PAIRS_LIMIT = 20_000_000
@@ -223,7 +228,6 @@ def _driver_id_pairs(tables, survivors, max_block_size: int, window: int):
     Same semantics (all-pairs / sorted-neighborhood skew guard /
     Max(capped) / band count) as the distributed path."""
     import pyarrow.compute as pc
-    import ray.data as rd
 
     DRIVER_COLLECTS["pairs_proportional"] += 1  # candidate rows
     key_chunks, id_chunks, sig_chunks = [], [], []
@@ -240,14 +244,14 @@ def _driver_id_pairs(tables, survivors, max_block_size: int, window: int):
          ("capped", pa.int64()), ("nb_bands", pa.int64())]
     ).empty_table()
     if not key_chunks:
-        return rd.from_arrow(empty)
+        return driver_dataset(empty)
     keys = pa.chunked_array(key_chunks).combine_chunks().to_numpy(zero_copy_only=False)
     ids = np.concatenate(id_chunks).astype(np.int64)
     sigs = np.concatenate(sig_chunks).astype(np.uint64)
     i, j, cap = block_pairs(keys, sigs, ids, max_block_size, window)
     left, right = np.minimum(ids[i], ids[j]), np.maximum(ids[i], ids[j])
     if not len(left):
-        return rd.from_arrow(empty)
+        return driver_dataset(empty)
     # cross-band dedupe: unique (left,right), Max(capped), Count(bands)
     pair_mat = np.stack([left, right], axis=1)
     o = np.lexsort((cap, right, left))
@@ -267,7 +271,7 @@ def _driver_id_pairs(tables, survivors, max_block_size: int, window: int):
             "nb_bands": pa.array(nb_bands, type=pa.int64()),
         }
     )
-    return rd.from_arrow(table)
+    return driver_dataset(table)
 
 
 def _band_rows(files_ds, num_perm, bands, shingle_k):
@@ -497,7 +501,7 @@ def attach_pair_tokens(pairs_ds, files_ds):
     rows are selected by a distributed semi-join on the slim pair-id column
     (stages/exchange.coarse_semi_join), then attached to both pair sides
     with coarse exchanges."""
-    pairs_ds = pairs_ds.materialize()  # small: deduped candidate pairs
+    pairs_ds = materialized(pairs_ds)  # small: deduped candidate pairs
     n_pairs = pairs_ds.count()
     if n_pairs == 0:
         return None
@@ -772,11 +776,9 @@ def linkage_clusters(
     reduce-side join and each pair is scored exactly once, so shuffle
     bytes do not grow with content width.
     """
-    import ray.data as rd
-
     from opentapioca_ray.stages.pairs import DRIVER_COMBINE_LIMIT
 
-    files_ds = files_ds.materialize()  # consumed by the front and the tokens
+    files_ds = materialized(files_ds)  # consumed by the front and the tokens
     if not distributed and files_ds.count() * bands <= DRIVER_COMBINE_LIMIT:
         idf, prior, pairs = _front_pass(
             files_ds, idf, prior, num_perm, bands, shingle_k, max_block_size, window
@@ -801,7 +803,7 @@ def linkage_clusters(
         empty_cl = pa.schema(
             [("node", pa.int64()), ("component", pa.int64())]
         ).empty_table()
-        return rd.from_arrow(empty_cl), rd.from_arrow(empty_sc)
+        return driver_dataset(empty_cl), driver_dataset(empty_sc)
     scored = score_pairs(enriched, idf, prior, model)
     # scored is consumed at least twice (match-edge derivation here, and
     # callers re-read it: F1 eval, the oracle's match-edge dump); left lazy,
@@ -866,9 +868,7 @@ def linkage_checkpointed(
         return score_pairs(enriched, idf, prior, model)
 
     def _empty_scored():
-        import ray.data as rd
-
-        return rd.from_arrow(
+        return driver_dataset(
             pa.schema(
                 [("left_id", pa.int64()), ("right_id", pa.int64()),
                  ("score", pa.float64())]

@@ -117,9 +117,9 @@ def normalize_edges(edges_ds):
     same dataflow shape."""
     import ray
 
-    from opentapioca_ray.stages.exchange import sum_partials
+    from opentapioca_ray.stages.exchange import materialized, sum_partials
 
-    edges_ds = edges_ds.materialize()  # consumed twice: totals + normalize
+    edges_ds = materialized(edges_ds)  # consumed twice: totals + normalize
     totals = sum_partials(
         edges_ds, ["src"], pa.schema([("src", pa.int64()), ("count", pa.int64())])
     )

@@ -156,7 +156,8 @@ def micro_batches_to_dataset(batches: Iterable[list[dict]]):
     indexing pipeline (projection -> upsert compaction -> checkpoint) runs
     unchanged on stream deltas."""
     import pyarrow as pa
-    import ray.data
+
+    from opentapioca_ray.stages.exchange import driver_dataset
 
     ids: list[str] = []
     payloads: list[str] = []
@@ -170,4 +171,4 @@ def micro_batches_to_dataset(batches: Iterable[list[dict]]):
             "item_json": pa.array(payloads, type=pa.string()),
         }
     )
-    return ray.data.from_arrow(table)
+    return driver_dataset(table)

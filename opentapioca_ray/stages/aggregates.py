@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def partial_sum_count(ds, key: str, sum_cols: list[str], alias: dict | None = None):
@@ -205,19 +205,24 @@ def group_moments(
     return merged.map_batches(finalize, batch_format="pyarrow")
 
 
+# Fine-grain rows up to which `rollup_sum` derives every coarser level in
+# one task; above it each level gets its own exchange. Tests reach that by
+# monkeypatching this to 0.
+_ROLLUP_FINE_LIMIT = 2_000_000
+
+
 def rollup_sum(
     ds,
     key_columns: list[str],
     value_column: str,
     sentinel: str = "ALL",
-    fine_limit: int = 2_000_000,
 ):
     """GROUP BY ROLLUP(keys...) of SUM(value) + COUNT(*), computed the
     scalable way: ONE distributed pass over the facts (per-batch combiner +
     one coarse exchange) builds the finest grain; every coarser ROLLUP
     level is then derived from that output — whose size is bounded by the
     key-combination cardinality, not the input — in a single vectorized
-    task. Only if the fine grain exceeds `fine_limit` rows (ultra-high-
+    task. Only if the fine grain exceeds `_ROLLUP_FINE_LIMIT` rows (ultra-high-
     cardinality keys) does each coarser level get its own distributed
     merge; either way the facts are scanned exactly once. Coarser levels
     mark collapsed keys with `sentinel` (COALESCE the SQL side's NULLs to
@@ -251,7 +256,7 @@ def rollup_sum(
         cols["n"] = tbl.column("_n")
         return pa.table(cols)
 
-    if fine.count() <= fine_limit:
+    if fine.count() <= _ROLLUP_FINE_LIMIT:
         # All coarser levels in ONE task over the tiny fine grain.
         def all_levels(batch: pa.Table) -> pa.Table:
             if batch.num_rows == 0 or "_sum" not in batch.column_names:
@@ -1148,8 +1153,6 @@ def exact_kth_narrowing(
     log_4096(2^63) ≈ 6 rounds; a global sort is never paid.
 
     Returns one row (n, k, kth)."""
-    import ray
-
     def minmax_count(batch: pa.Table) -> pa.Table:
         schema = pa.schema(
             [("lo", pa.int64()), ("hi", pa.int64()), ("n", pa.int64())]
@@ -1179,9 +1182,7 @@ def exact_kth_narrowing(
         lo = blo if lo is None else min(lo, blo)
         hi = bhi if hi is None else max(hi, bhi)
     if n == 0:
-        import ray.data
-
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.schema(
                 [("n", pa.int64()), ("k", pa.int64()), ("kth", pa.int64())]
             ).empty_table()
@@ -1224,9 +1225,7 @@ def exact_kth_narrowing(
         if width == 1:
             break
 
-    import ray.data
-
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "n": pa.array([n], pa.int64()),

@@ -16,7 +16,7 @@ import pandas as pd
 import pyarrow as pa
 
 from opentapioca_ray.functions.vectors import list_to_matrix
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def _unit(mat: np.ndarray) -> np.ndarray:
@@ -322,7 +322,6 @@ def hard_negatives(
     hyperplane-LSH banding already used by `dedup.embedding_dedup` — mine
     within buckets instead of against the broadcast."""
     import ray
-    import ray.data
 
     ds = ds.materialize()
     parts = [
@@ -339,7 +338,7 @@ def hard_negatives(
         ]
     )
     if not parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     full = pa.concat_tables(parts)
     ids = full.column(id_column).to_numpy(zero_copy_only=False).astype(np.int64)
     labels = full.column(label_column).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -471,7 +470,6 @@ def embedding_outliers(
     (labels x dim ints — broadcast-small by construction), then one map
     scores every vector. The facts stream twice, nothing else moves."""
     import ray
-    import ray.data
 
     ds = ds.materialize()
 
@@ -527,7 +525,7 @@ def embedding_outliers(
         ]
     )
     if not totals:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     lbl_sorted = np.array(sorted(totals), dtype=np.int64)
     n_arr = np.array([totals[l][0] for l in lbl_sorted], dtype=np.int64)
     s_mat = np.stack([totals[l][1] for l in lbl_sorted])

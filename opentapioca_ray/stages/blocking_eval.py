@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def blocking_quality(ds, block_cols: list[str], truth_cols: list[str]):
@@ -305,7 +305,6 @@ def block_split_plan(ds, block_col: str, m: int = 8, n_parts=None):
     pass; a collision could only swap two reducer labels and is
     vanishingly unlikely at plan cardinality)."""
     import pandas as pd
-    import ray.data
 
     from opentapioca_ray.stages.exchange import (
         _HASH_KEY,
@@ -330,7 +329,7 @@ def block_split_plan(ds, block_col: str, m: int = 8, n_parts=None):
 
     total_c = int(sizes.map_batches(comps, batch_format="pyarrow").sum("cb") or 0)
     if total_c == 0:
-        return ray.data.from_arrow(_SPLIT_SCHEMA.empty_table())
+        return driver_dataset(_SPLIT_SCHEMA.empty_table())
     avg = (total_c + m - 1) // m  # fair share, exact integer ceil
 
     plan_fields = [
@@ -521,9 +520,6 @@ def clustering_disagreement(
     Shape: one cluster-size roll-up (combiner), two reduce-side lookup
     exchanges attaching the endpoint clusters to each edge
     (metablocking's `_attach_node_stats`), one counting map."""
-    import ray
-    import ray.data
-
     from opentapioca_ray.stages.exchange import coarse_groupby_agg, right_size
     from opentapioca_ray.stages.metablocking import _attach_node_stats
 
@@ -606,7 +602,7 @@ def clustering_disagreement(
     intra_edges = int(ep.sum("intra") or 0)
     cross_edges = int(ep.sum("cross") or 0)
     missing = intra_pairs - intra_edges
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "n_nodes": pa.array([n_nodes], pa.int64()),

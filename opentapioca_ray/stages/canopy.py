@@ -27,6 +27,8 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from opentapioca_ray.stages.exchange import driver_dataset
+
 _CAND_EMPTY = pa.schema(
     [("doc_id", pa.int64()), ("grams", pa.list_(pa.string()))]
 ).empty_table()
@@ -130,9 +132,7 @@ def canopy_clusters(doc_grams, t1: int = 4, t2: int = 10, rounds: int = 8):
             expr=f"overlap < {int(t2)} and doc_id != {center}"
         ).drop_columns(["overlap"])
     if not member_dsets:
-        import ray.data
-
-        return ray.data.from_arrow(_MEMBER_SCHEMA.empty_table())
+        return driver_dataset(_MEMBER_SCHEMA.empty_table())
     out = member_dsets[0]
     if len(member_dsets) > 1:
         out = out.union(*member_dsets[1:])

@@ -26,6 +26,8 @@ import pyarrow as pa
 
 from opentapioca_ray.stages.exchange import (
     coarse_group_apply,
+    driver_dataset,
+    materialized,
     segment_ids,
     segment_starts,
 )
@@ -177,15 +179,6 @@ def local_edge_columns(
     return {c: np.concatenate(p) for c, p in parts.items()}
 
 
-def local_result(table: pa.Table):
-    """A driver-built stage result as ONE materialized Arrow block: a
-    collect of it runs no Ray Data execution (`from_items` would build
-    one block per row)."""
-    import ray.data
-
-    return ray.data.from_arrow(table).materialize()
-
-
 def connected_components(
     edges_ds,
     max_rounds: int = 30,
@@ -195,19 +188,19 @@ def connected_components(
 
     Scale-adaptive: up to `_LOCAL_EDGE_LIMIT` edges the edge columns are
     collected to the driver, labelled by the vectorized
-    `_local_components` kernel and returned as ONE materialized Arrow
-    block, nodes ascending — match edges are a tiny fraction of input
-    rows, so this is the common case even for huge corpora. Above the
+    `_local_components` kernel and returned as ONE `driver_dataset` block,
+    nodes ascending — match edges are a tiny fraction of input rows, so
+    this is the common case even for huge corpora. Above the
     limit it runs the large-star/small-star rounds, one coarse-partition
     exchange each (O(log n) rounds); stop when the edge digest is stable.
     Tests reach the exchange rounds by monkeypatching `_LOCAL_EDGE_LIMIT`
     to 0.
     """
-    edges_ds = edges_ds.materialize()
+    edges_ds = materialized(edges_ds)
     cols = local_edge_columns(edges_ds)
     if cols is not None:
         nodes, roots = _local_components(cols["u"], cols["v"])
-        return local_result(
+        return driver_dataset(
             pa.table(
                 {
                     "node": pa.array(nodes, pa.int64()),

@@ -482,23 +482,27 @@ def per_document_apply(tags_ds, partition_fn, schema: pa.Schema):
     a pandas frame) over every document of `tags_ds`; every block of the
     returned Dataset that has columns is an Arrow table with `schema`.
 
-    The tags are materialized first, so their `count()` runs no further
-    execution. Up to `_DRIVER_CLASSIFY_LIMIT` rows the blocks are
-    concatenated on the driver, `partition_fn` runs ONCE over all of them
-    and the result is ONE materialized `from_arrow` block: collecting it
-    runs no execution. Above, a coarse exchange on hash(doc_id) % P
-    (stages/exchange.py) puts whole documents in one partition and
-    `partition_fn` runs per partition."""
-    import ray.data
-
-    from opentapioca_ray.stages.exchange import arrow_blocks, coarse_group_apply
+    The tags are materialized first (unless they already are), so their
+    `count()` runs no further execution. Up to `_DRIVER_CLASSIFY_LIMIT`
+    rows the blocks are concatenated on the driver, `partition_fn` runs
+    ONCE over all of them and the result is ONE `driver_dataset` block:
+    building it runs no remote task and collecting it no execution.
+    Above, a coarse exchange on hash(doc_id) % P (stages/exchange.py) puts
+    whole documents in one partition and `partition_fn` runs per
+    partition."""
+    from opentapioca_ray.stages.exchange import (
+        arrow_blocks,
+        coarse_group_apply,
+        driver_dataset,
+        materialized,
+    )
 
     def typed(df: pd.DataFrame) -> pa.Table:
         # no pandas metadata: Ray Data hashes block schemas to unify them
         out = pa.Table.from_pandas(partition_fn(df), schema=schema, preserve_index=False)
         return out.replace_schema_metadata()
 
-    tags_ds = tags_ds.materialize()
+    tags_ds = materialized(tags_ds)
     if tags_ds.count() > _DRIVER_CLASSIFY_LIMIT:
         return coarse_group_apply(tags_ds, "doc_id", typed)
     blocks = [t for t in arrow_blocks(tags_ds) if t.num_rows]
@@ -507,7 +511,7 @@ def per_document_apply(tags_ds, partition_fn, schema: pa.Schema):
         if blocks
         else schema.empty_table()
     )
-    return ray.data.from_arrow(out).materialize()
+    return driver_dataset(out)
 
 
 def classify_dataset(tags_ds, model: LinearModel, params: ClassifierParams):

@@ -19,7 +19,7 @@ import pandas as pd
 import pyarrow as pa
 
 from opentapioca_ray.functions.vectors import list_to_matrix
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def _unit(mat: np.ndarray) -> np.ndarray:
@@ -644,7 +644,6 @@ def silhouette_kmedoids(
     table, one vec_id-keyed attach exchange, one scoring map."""
     import pyarrow.compute as pc
     import ray
-    import ray.data
 
     from opentapioca_ray.functions.vectors import list_to_matrix
     from opentapioca_ray.stages.exchange import coarse_group_apply
@@ -671,7 +670,7 @@ def silhouette_kmedoids(
         ]
     )
     if not med_ids:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     med_set = pa.array(sorted(med_ids), type=pa.int64())
 
     def med_rows(batch: pa.Table) -> pa.Table:

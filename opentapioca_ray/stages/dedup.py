@@ -20,7 +20,7 @@ from opentapioca_ray.functions.minhash import jaccard, simhash
 from opentapioca_ray.functions.vectors import list_to_matrix, matrix_to_list
 from opentapioca_ray.stages.cc import connected_components
 from opentapioca_ray.stages.pairs import CONTENT_CAP, block_pairs, blocking_batch
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def add_hash_column(
@@ -696,9 +696,6 @@ def ngram_jaccard_pairs(
     distributed (`_ngram_shuffle_pairs`).
 
     Returns (u, v, jaccard) with u < v and jaccard >= threshold."""
-    import ray
-    import ray.data
-
     _EMPTY = _NGRAM_EMPTY
 
     # ONE pass over the corpus produces the exploded (gram, doc) rows WITH
@@ -738,7 +735,7 @@ def ngram_jaccard_pairs(
         id_chunks.append(t.column("doc_id").to_numpy(zero_copy_only=False))
         ngr_chunks.append(t.column("n_grams").to_numpy(zero_copy_only=False))
     if not gram_chunks:
-        return ray.data.from_arrow(_EMPTY)
+        return driver_dataset(_EMPTY)
     codes = (
         pa.chunked_array(gram_chunks)
         .combine_chunks()
@@ -750,7 +747,7 @@ def ngram_jaccard_pairs(
     o = np.lexsort((ids, codes))
     res = _pair_multiplicity(codes[o], ids[o], ngr[o])
     if res is None:
-        return ray.data.from_arrow(_EMPTY)
+        return driver_dataset(_EMPTY)
     u, v, inter, na, nb = res
     jac = inter / (na + nb - inter)
     keep = jac >= threshold
@@ -764,7 +761,7 @@ def ngram_jaccard_pairs(
     n_slices = max(1, min(32, table.num_rows // 4096 + 1))
     step = max(1, (table.num_rows + n_slices - 1) // n_slices)
     slices = [table.slice(i, step) for i in range(0, table.num_rows, step)]
-    return ray.data.from_arrow(slices or [table])
+    return driver_dataset(slices or [table])
 
 
 def ngram_jaccard_dedup(
@@ -883,9 +880,7 @@ def embedding_pairs(
         id_chunks.append(t.column("u").to_numpy(zero_copy_only=False))
         id_chunks.append(t.column("v").to_numpy(zero_copy_only=False))
     if not id_chunks:
-        import ray.data as rd
-
-        return rd.from_arrow(_EMPTY_PAIRS)
+        return driver_dataset(_EMPTY_PAIRS)
     cand = np.unique(np.concatenate(id_chunks)).astype(np.int64)
     cand_ref = ray.put(pa.array(cand, type=pa.int64()))
 
@@ -1105,6 +1100,12 @@ def ngram_containment_pairs(
     return pair_counts.map_batches(finish, batch_format="pyarrow")
 
 
+# Delta gram rows up to which `incremental_jaccard_pairs` broadcasts the
+# delta; above it the gram-keyed exchange runs. Tests reach the exchange
+# by monkeypatching this to 0.
+_DELTA_BROADCAST_LIMIT = 2_000_000
+
+
 def incremental_jaccard_pairs(
     new_ds,
     old_ds,
@@ -1114,7 +1115,6 @@ def incremental_jaccard_pairs(
     threshold: float = 0.5,
     max_df: int | None = None,
     n_parts: int | None = None,
-    delta_broadcast_limit: int = 2_000_000,
 ):
     """Streaming-dedup primitive: exact n-gram Jaccard pairs between a
     NEW delta and the EXISTING corpus only — never corpus x corpus (the
@@ -1123,7 +1123,7 @@ def incremental_jaccard_pairs(
 
     Two regimes:
 
-    - **delta broadcast** (delta gram rows ≤ `delta_broadcast_limit`, no
+    - **delta broadcast** (delta gram rows ≤ `_DELTA_BROADCAST_LIMIT`, no
       `max_df`): the delta's (gram, doc, size) table is ray.put once and
       the corpus side streams through ONE embarrassingly-parallel
       map_batches — per batch an exact Arrow hash join on the gram string
@@ -1163,7 +1163,7 @@ def incremental_jaccard_pairs(
             lambda b: gram_doc_rows(b, id_column, text_column, k),
             batch_format="pyarrow",
         ).materialize()
-        if new_grams.count() <= delta_broadcast_limit:
+        if new_grams.count() <= _DELTA_BROADCAST_LIMIT:
             parts = []
             for t in arrow_blocks(new_grams):
                 if isinstance(t, pd.DataFrame):

@@ -34,6 +34,8 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
+from opentapioca_ray.stages.exchange import driver_dataset
+
 
 _FEAT_EMPTY = pa.schema(
     [
@@ -144,9 +146,7 @@ def dsir_weights(
     s_total = int(tot.sum("s") or 0)
     t_total = int(tot.sum("t") or 0)
     if s_total == 0 or t_total == 0:
-        import ray.data
-
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.schema([(c, pa.int64()) for c in _OUT_COLS]).empty_table()
         )
 

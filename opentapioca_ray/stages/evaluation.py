@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 _SUMMARY = pa.schema(
     [
@@ -53,8 +53,6 @@ def roc_auc(
     u2 = sum over distinct scores v of 2*pos_v*neg_below(v) +
     pos_v*neg_v) and auc_e6 = round(1e6 * u2 / (2*n_pos*n_neg)).
     Everything upstream of auc_e6 is exact integer math."""
-    import ray
-
     from opentapioca_ray.stages.exchange import (
         coarse_groupby_agg,
         default_n_parts,
@@ -203,7 +201,7 @@ def roc_auc(
         if t.num_rows and "pid" in t.column_names:
             rows.append(t.to_pandas())
     if not rows:
-        return ray.data.from_arrow(_OUT.empty_table())
+        return driver_dataset(_OUT.empty_table())
     agg = pd.concat(rows).sort_values("pid")
     s_pos = agg["s_pos"].to_numpy(dtype=np.int64)
     s_neg = agg["s_neg"].to_numpy(dtype=np.int64)
@@ -224,9 +222,8 @@ def roc_auc(
             "auc_e6": pa.array([auc_e6], pa.int64()),
         }
     )
-    import ray.data
 
-    return ray.data.from_arrow(out)
+    return driver_dataset(out)
 
 
 def welch_t_stats(ds, arm_column: str, units_column: str):
@@ -238,9 +235,6 @@ def welch_t_stats(ds, arm_column: str, units_column: str):
     (n, sum, sumsq); only the two arm rows reach the driver; the t value
     is ONE fixed float expression quantized to micro-units, replayed
     term-for-term by the SQL twin."""
-    import ray
-    import ray.data
-
     from opentapioca_ray.stages.aggregates import partial_sum_count
 
     out_schema = pa.schema(
@@ -318,7 +312,7 @@ def welch_t_stats(ds, arm_column: str, units_column: str):
             "t_e6": pa.array([t_e6], pa.int64()),
         }
     )
-    return ray.data.from_arrow(out)
+    return driver_dataset(out)
 
 
 def footrule_stats(ds, id_column: str, key_a: str, key_b: str):
@@ -334,9 +328,6 @@ def footrule_stats(ds, id_column: str, key_a: str, key_b: str):
     groupby-sum on the id — ranking A rides in as +rn, ranking B as -rn,
     so the group sum IS rank_a - rank_b and no join kernel exists at
     all. Final |d| roll-up is a map-side partial combine."""
-    import ray
-    import ray.data
-
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
     from opentapioca_ray.stages.snm import global_rank
 
@@ -378,7 +369,7 @@ def footrule_stats(ds, id_column: str, key_a: str, key_b: str):
         if t.num_rows and "n" in t.column_names:
             n += int(t.column("n").to_numpy().sum())
             s += int(t.column("s").to_numpy().sum())
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "n": pa.array([n], pa.int64()),
@@ -408,7 +399,6 @@ def kendall_tau_binned(ds, x_column: str, y_column: str, n_parts=None):
     cum is rows x bins per partition); unbounded x needs the pairwise
     IEJoin formulation instead."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.exchange import (
         coarse_group_apply,
@@ -629,7 +619,7 @@ def kendall_tau_binned(ds, x_column: str, y_column: str, n_parts=None):
     taub_e6 = (
         int(np.floor(1e6 * (c - d) / np.sqrt(denom) + 0.5)) if denom > 0 else 0
     )
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "n": pa.array([n_rows], pa.int64()),
@@ -733,9 +723,6 @@ def rbo_depth_table(
     Shape: each ranking's exact global top-`depth` via per-batch combiner
     top-k + one driver merge (2 x depth rows of driver state); the depth
     table itself is O(depth)."""
-    import ray
-    import ray.data
-
     ds = ds.select_columns([id_column, a_value, b_value]).materialize()
 
     def local_top(batch: pa.Table) -> pa.Table:
@@ -777,7 +764,7 @@ def rbo_depth_table(
         ]
     )
     if not parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     t = pa.concat_tables(parts)
     ids = t.column(id_column).to_numpy(zero_copy_only=False).astype(np.int64)
     av = t.column(a_value).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -795,7 +782,7 @@ def rbo_depth_table(
         * overlap / rows_d * 1_000_000_000.0
         + 0.5
     ).astype(np.int64)
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "d": pa.array(rows_d),
@@ -824,9 +811,6 @@ def ndcg_at_k(
 
     Shape: two per-batch combiner top-k passes (ranking head + largest
     relevance grades) + a driver merge of 2k rows."""
-    import ray
-    import ray.data
-
     ds = ds.select_columns([id_column, rank_value, rel_column]).materialize()
 
     def local_top(batch: pa.Table) -> pa.Table:
@@ -868,7 +852,7 @@ def ndcg_at_k(
         ]
     )
     if not parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     t = pa.concat_tables(parts)
     ids = t.column(id_column).to_numpy(zero_copy_only=False).astype(np.int64)
     rv = t.column(rank_value).to_numpy(zero_copy_only=False).astype(np.int64)
@@ -882,7 +866,7 @@ def ndcg_at_k(
     ideal = np.sort(rel)[::-1][: len(head)]
     idcg = int((ideal * disc).sum())
     ndcg = dcg * 1_000_000 // idcg if idcg > 0 else 0
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "k": pa.array([k], pa.int64()),

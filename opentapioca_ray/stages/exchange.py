@@ -227,18 +227,63 @@ def coarse_groupby_agg(ds, key_cols: list[str], agg_spec: dict, n_parts: int | N
 _SUM_DRIVER_LIMIT = 5_000_000
 
 
-def driver_slices(table: pa.Table):
-    """A table built on the driver as a `from_arrow` Dataset of about 2
-    blocks per CPU (at most 64), so downstream maps parallelize (one
-    block would serialize everything after it). Collecting it runs one
-    Ray Data execution unless it is `.materialize()`d first."""
+def driver_dataset(tables):
+    """Driver-held Arrow tables (one `pa.Table` or a list, each one block)
+    as an already-executed `MaterializedDataset`: the engine's one way to
+    turn a driver-built result into a Dataset.
+
+    Each block's metadata is computed here from the table in hand and the
+    block is `ray.put` once; the Dataset is the `InputData` plan that
+    `Dataset.materialize()` ends with (Ray 2.49), marked executed. Its
+    collect, `count()`, schema and `num_blocks()` therefore run no Ray
+    Data execution and no remote task, where `ray.data.from_arrow` runs one
+    remote metadata task per block and its un-materialized collect one
+    execution (tests/test_exchange.py pins both against Ray upgrades)."""
     import ray
-    import ray.data
+    from ray.data._internal.execution.interfaces import RefBundle
+    from ray.data._internal.logical.interfaces import LogicalPlan
+    from ray.data._internal.logical.operators.input_data_operator import InputData
+    from ray.data._internal.plan import ExecutionPlan
+    from ray.data._internal.stats import DatasetStats
+    from ray.data.block import BlockExecStats, BlockMetadataWithSchema
+    from ray.data.context import DataContext
+    from ray.data.dataset import MaterializedDataset
+
+    if isinstance(tables, pa.Table):
+        tables = [tables]
+    metas = [
+        BlockMetadataWithSchema.from_block(t, stats=BlockExecStats.builder().build())
+        for t in tables
+    ]
+    bundles = [
+        RefBundle(blocks=((ray.put(t), m.metadata),), owns_blocks=False, schema=m.schema)
+        for t, m in zip(tables, metas)
+    ]
+    context = DataContext.get_current().copy()
+    plan = ExecutionPlan(DatasetStats(metadata={"FromArrow": metas}, parent=None), context)
+    ds = MaterializedDataset(plan, LogicalPlan(InputData(input_data=bundles), context))
+    plan.execute()  # no execution: marks the plan as holding its output
+    return ds
+
+
+def materialized(ds):
+    """`ds` itself when its plan already holds its output (a
+    `driver_dataset` or a `.materialize()` result), else
+    `ds.materialize()`: materializing a materialized Dataset runs no
+    execution but still copies its plan twice."""
+    return ds if ds._plan.has_computed_output() else ds.materialize()
+
+
+def driver_slices(table: pa.Table):
+    """A table built on the driver as a `driver_dataset` of about 2 blocks
+    per CPU (at most 64), so downstream maps parallelize (one block would
+    serialize everything after it)."""
+    import ray
 
     cpus = int(ray.cluster_resources().get("CPU", 8)) if ray.is_initialized() else 8
     step = max(1, -(-table.num_rows // min(64, 2 * cpus)))
     slices = [table.slice(i, step) for i in range(0, table.num_rows, step)]
-    return ray.data.from_arrow(slices or [table])
+    return driver_dataset(slices or [table])
 
 
 def sum_partials(parts, keys: list[str], schema: pa.Schema):
@@ -255,17 +300,15 @@ def sum_partials(parts, keys: list[str], schema: pa.Schema):
     Up to `_SUM_DRIVER_LIMIT` rows the partials are concatenated on the
     driver for one single-threaded Arrow group-by (groups in
     first-appearance order, so thread scheduling never reorders them); a
-    Dataset result is then materialized `driver_slices`, so a collect of it
-    runs no execution. Above, one `coarse_groupby_agg` exchange sums them
+    Dataset result is then `driver_slices`, so a collect of it runs no
+    execution. Above, one `coarse_groupby_agg` exchange sums them
     on the workers, and only driver-side partials have their sums brought
     back to the driver."""
-    import ray.data
-
     values = [n for n in schema.names if n not in keys]
     on_driver = isinstance(parts, list)
     n_rows = sum(t.num_rows for t in parts) if on_driver else parts.count()
     if n_rows > _SUM_DRIVER_LIMIT:
-        ds = ray.data.from_arrow(parts) if on_driver else parts
+        ds = driver_dataset(parts) if on_driver else parts
         sums = coarse_groupby_agg(ds, keys, {v: (v, "sum") for v in values})
         return list(arrow_blocks(sums)) if on_driver else sums
     tables = [
@@ -283,7 +326,7 @@ def sum_partials(parts, keys: list[str], schema: pa.Schema):
     table = pa.table(
         [sums.column(n if n in keys else f"{n}_sum") for n in schema.names], schema=schema
     )
-    return [table] if on_driver else driver_slices(table).materialize()
+    return [table] if on_driver else driver_slices(table)
 
 
 def coarse_semi_join(

@@ -19,7 +19,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def funnel_counts(
@@ -31,8 +31,6 @@ def funnel_counts(
 ):
     """Returns (step_idx: int64, step: string, n_users: int64), one row per
     funnel step, counting users who reached that step in order."""
-    import ray.data
-
     from opentapioca_ray.stages.exchange import coarse_group_apply
 
     steps = list(steps)
@@ -103,7 +101,7 @@ def funnel_counts(
             continue
         idx = t.column("step_idx").to_numpy(zero_copy_only=False).astype(int)
         counts[idx] += t.column("n_users").to_numpy(zero_copy_only=False)
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "step_idx": pa.array(

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset, materialized
 
 _EDGE_SCHEMA = pa.schema([("u", pa.int64()), ("v", pa.int64())])
 
@@ -248,11 +248,11 @@ def kcore_degrees(
 
     Input: (u, v) edge rows (distinct). Output: (node, degree) of the
     surviving subgraph. Up to `cc._LOCAL_EDGE_LIMIT` edges the peel runs
-    on the driver (`_peel_kernel`) and returns one materialized block.
+    on the driver (`_peel_kernel`) and returns one `driver_dataset` block.
     Above it, per round: ONE combiner degree roll-up + TWO coarse
     semi-joins (edges keyed by u, then v) — all integer, nothing
     driver-side."""
-    from opentapioca_ray.stages.cc import local_edge_columns, local_result
+    from opentapioca_ray.stages.cc import local_edge_columns
     from opentapioca_ray.stages.exchange import (
         coarse_groupby_agg,
         coarse_semi_join,
@@ -261,12 +261,12 @@ def kcore_degrees(
 
     deg_schema = pa.schema([("node", pa.int64()), ("degree", pa.int64())])
 
-    edges = edges.materialize()
+    edges = materialized(edges)
     cols = local_edge_columns(edges)
     if cols is not None:
         u, v = _peel_kernel(cols["u"], cols["v"], k, rounds)
         nodes, inv = np.unique(np.concatenate([u, v]), return_inverse=True)
-        return local_result(
+        return driver_dataset(
             pa.table(
                 {
                     "node": pa.array(nodes, pa.int64()),
@@ -409,13 +409,13 @@ def _relax(edges, seeds, rounds: int, n_parts, weighted: bool, per_landmark: boo
     once, so duplicate seeds change nothing in either regime.
 
     Up to `cc._LOCAL_EDGE_LIMIT` edges the edges and seeds are collected
-    to the driver and `_hops_kernel` returns one materialized block.
+    to the driver and `_hops_kernel` returns one `driver_dataset` block.
     Above it, per round: ONE reduce-side lookup exchange keyed by edge
     source (the state rows ride the same shuffle; the message kernel
     expands every state row co-located with an edge source through
     multi-match searchsorted ranges) + ONE coarse min-groupby on
     (lm, node) over the messages ∪ the current state."""
-    from opentapioca_ray.stages.cc import local_edge_columns, local_result
+    from opentapioca_ray.stages.cc import local_edge_columns
     from opentapioca_ray.stages.exchange import (
         coarse_group_apply,
         coarse_groupby_agg,
@@ -432,7 +432,7 @@ def _relax(edges, seeds, rounds: int, n_parts, weighted: bool, per_landmark: boo
         )
 
     seed_ds = seeds.map_batches(seed_rows, batch_format="pyarrow")
-    edges = edges.materialize()
+    edges = materialized(edges)
     cols = local_edge_columns(edges, ("u", "v", "w") if weighted else ("u", "v"))
     if cols is not None:
         # seeds are O(seed-count): tiny next to the edges collected above
@@ -449,7 +449,7 @@ def _relax(edges, seeds, rounds: int, n_parts, weighted: bool, per_landmark: boo
             s.column("node").to_numpy(),
             rounds,
         )
-        return local_result(
+        return driver_dataset(
             pa.table(
                 [pa.array(lm), pa.array(node), pa.array(dist)], schema=_HOPS_SCHEMA
             )
@@ -598,9 +598,6 @@ def degree_assortativity(edges, n_parts=None):
     Shape: degree roll-up (one combiner exchange) + two reduce-side
     lookup exchanges attaching each endpoint's degree + a map-side
     partial-sum combine; only O(1) summary rows reach the driver."""
-    import ray
-    import ray.data
-
     from opentapioca_ray.stages.exchange import coarse_groupby_agg, right_size
     from opentapioca_ray.stages.metablocking import _attach_node_stats
 
@@ -683,14 +680,14 @@ def degree_assortativity(edges, n_parts=None):
         ]
     )
     if m2 == 0:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     # symmetric list: x/y marginals identical, so one mean/variance pair.
     # Same IEEE op order as the SQL twin.
     mean = float(sx) / m2
     var = float(sxx) / m2 - mean * mean
     cov = float(sxy) / m2 - mean * mean
     r_e6 = int(np.floor(1e6 * cov / var + 0.5)) if var > 0 else 0
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "m2": pa.array([m2], pa.int64()),
@@ -1248,7 +1245,6 @@ def rich_club(edges_ds, ks: list[int] | None = None, n_parts=None):
     attach exchanges of degree_assortativity past broadcast scale), one
     counting pass over the edges."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
 
@@ -1282,7 +1278,7 @@ def rich_club(edges_ds, ks: list[int] | None = None, n_parts=None):
         if t.num_rows and "node" in t.column_names
     ]
     if not parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     deg_tbl = pa.concat_tables(parts)
     nodes = deg_tbl.column("node").to_numpy(zero_copy_only=False).astype(np.int64)
     degs = deg_tbl.column("d").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1321,7 +1317,7 @@ def rich_club(edges_ds, ks: list[int] | None = None, n_parts=None):
         e_k = int(e_by_k.get(int(kk), 0))
         phi = 2 * e_k * 1_000_000 // (n_k * (n_k - 1)) if n_k >= 2 else 0
         rows.append((int(kk), n_k, e_k, phi))
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "k": pa.array([r[0] for r in rows], pa.int64()),

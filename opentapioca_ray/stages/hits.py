@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 E9 = 1_000_000_000
 
@@ -196,18 +196,23 @@ def _half_round_driver(edges, state_ref, tail: str, head: str):
     return n[starts], scores
 
 
+# Node-table rows up to which each HITS half-round broadcasts the score
+# table; above it the tagged lookup-join shuffle runs. Tests reach the
+# shuffle by monkeypatching this to 0.
+_SCORE_BROADCAST_LIMIT = 5_000_000
+
+
 def hits_scores(
     edges_ds,
     rounds: int = 3,
     src_column: str = "src",
     dst_column: str = "dst",
-    score_broadcast_limit: int = 5_000_000,
     n_parts: int | None = None,
 ):
     """`rounds` HITS rounds over distinct directed edges. Returns
     (hubs, auths): two Datasets of (node, score) with e9 scores.
 
-    When the node table fits `score_broadcast_limit` rows, each
+    When the node table fits `_SCORE_BROADCAST_LIMIT` rows, each
     half-round is ONE exchange (broadcast score lookup + combiner sums);
     above it, the tagged lookup-join shuffle path runs — same results."""
     from opentapioca_ray.stages.exchange import (
@@ -292,11 +297,10 @@ def hits_scores(
 
         return fn
 
-    use_broadcast = hubs.count() <= score_broadcast_limit
+    use_broadcast = hubs.count() <= _SCORE_BROADCAST_LIMIT
 
     if use_broadcast:
         import ray
-        import ray.data
 
         hub_state = _collect_scores(hubs)
         auth_state = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64))
@@ -309,7 +313,7 @@ def hits_scores(
             )
 
         def to_ds(state):
-            return ray.data.from_arrow(
+            return driver_dataset(
                 pa.table(
                     {"node": pa.array(state[0]), "score": pa.array(state[1])}
                 ).cast(_SCORE_SCHEMA)

@@ -11,7 +11,7 @@ Scale notes:
   exchange over DISTINCT (word, count) partials — facts never shuffle;
 - the model is the vocabulary table, bounded by distinct-word count, not
   corpus size; it is broadcast once via `ray.put` (guarded by
-  `driver_limit` — a vocabulary beyond that needs a hashed-feature model,
+  `_VOCAB_LIMIT` — a vocabulary beyond that needs a hashed-feature model,
   not an exact table);
 - scoring is a stateless `map_batches` fan-out: flatten tokens, one
   `searchsorted` lookup into the broadcast log-prob table, one segment sum
@@ -30,7 +30,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 from opentapioca_ray.functions.textstats import whitespace_token_lists
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 _VOCAB_LIMIT = 20_000_000  # distinct words the driver may hold / broadcast
 
@@ -63,7 +63,6 @@ def unigram_lm_scores(
     id_column: str = "doc_id",
     text_column: str = "text",
     counts_ds=None,
-    driver_limit: int = _VOCAB_LIMIT,
     carry_columns: list | None = None,
 ):
     """Score every document under the corpus unigram model.
@@ -101,9 +100,9 @@ def unigram_lm_scores(
             batch_format="pyarrow",
         )
     vocab = pa.concat_tables(tables)
-    if vocab.num_rows > driver_limit:
+    if vocab.num_rows > _VOCAB_LIMIT:
         raise ValueError(
-            f"vocabulary {vocab.num_rows} exceeds driver_limit {driver_limit}; "
+            f"vocabulary {vocab.num_rows} exceeds _VOCAB_LIMIT {_VOCAB_LIMIT}; "
             "use a hashed-feature LM for open vocabularies"
         )
     words = vocab.column("word").to_numpy(zero_copy_only=False)
@@ -238,7 +237,6 @@ def nb_lang_confusion(
 
     # per-lang token totals + global distinct-word count V: scalars
     lang_totals = {}
-    import ray
 
     lt = coarse_groupby_agg(
         feats.map_batches(
@@ -262,9 +260,7 @@ def nb_lang_confusion(
         feats.select_columns(["word"]), ["word"], []
     ).count()
     if not lang_totals or v_distinct == 0:
-        import ray.data
-
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.schema(
                 [
                     ("true_lang", pa.string()),
@@ -367,9 +363,6 @@ def vocab_richness(docs, text_column: str = "text", n_parts: int | None = None):
 
     Shape: the distributed unigram counts (combiner + one exchange), then
     a per-batch count-of-counts partial and a scalar roll-up."""
-    import ray
-    import ray.data
-
     counts = train_unigram_counts(docs, text_column=text_column)
 
     def partials(batch: pa.Table) -> pa.Table:
@@ -401,7 +394,7 @@ def vocab_richness(docs, text_column: str = "text", n_parts: int | None = None):
         if n2
         else v * 1_000_000
     )
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "v_types": pa.array([v], pa.int64()),

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 from opentapioca_ray.stages.graphops import both_dirs
 
 _LABELS_SCHEMA = pa.schema([("node", pa.int64()), ("label", pa.int64())])
@@ -84,11 +84,16 @@ def _argmax_partition(df: pd.DataFrame) -> pd.DataFrame:
     return pd.DataFrame({"node": node[first], "label": label[first]})
 
 
+# Node-table rows up to which each LPA round broadcasts the label table;
+# above it the tagged-union shuffle runs. Tests reach the shuffle by
+# monkeypatching this to 0.
+_LABEL_BROADCAST_LIMIT = 5_000_000
+
+
 def label_propagation(
     edges_ds,
     rounds: int = 4,
     n_parts: int | None = None,
-    label_broadcast_limit: int = 5_000_000,
     edges_distinct_directed: bool = False,
 ):
     """`rounds` synchronous LPA rounds over the undirected edge set.
@@ -98,11 +103,11 @@ def label_propagation(
     materialized DISTINCT both-direction (src, dst) table (a graph
     shared across queries in one process) and skips the dedup exchange.
 
-    While the node table fits `label_broadcast_limit` rows, each round
+    While the node table fits `_LABEL_BROADCAST_LIMIT` rows, each round
     broadcasts the sorted (node, label) arrays via `ray.put` and maps
     over the STATIC edge blocks (searchsorted lookup + per-block partial
     vote aggregation) — one node-keyed exchange per round instead of two
-    (the HITS `score_broadcast_limit` pattern). Beyond the limit, the
+    (the HITS `_SCORE_BROADCAST_LIMIT` pattern). Beyond the limit, the
     tagged-union shuffle path runs; the two are equivalence-tested."""
     from opentapioca_ray.stages.exchange import (
         coarse_group_apply,
@@ -189,7 +194,7 @@ def label_propagation(
             }
         )
 
-    if labels.count() <= label_broadcast_limit:
+    if labels.count() <= _LABEL_BROADCAST_LIMIT:
         return _lpa_broadcast(directed, labels, rounds, n_parts)
 
     edges_tagged = directed.map_batches(
@@ -232,7 +237,6 @@ def _lpa_broadcast(directed, labels, rounds: int, n_parts: int):
     then ONE node-keyed coarse exchange for the argmax. Self-votes join
     as a driver-built Dataset from the same broadcast arrays."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.exchange import coarse_group_apply, right_size
 
@@ -280,7 +284,7 @@ def _lpa_broadcast(directed, labels, rounds: int, n_parts: int):
             )
 
         votes = directed.map_batches(vote_partial, batch_format="pyarrow")
-        self_votes = ray.data.from_arrow(
+        self_votes = driver_dataset(
             pa.table(
                 {
                     "node": pa.array(nodes, type=pa.int64()),

@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 def fd_violations(ds, lhs_column: str, rhs_column: str):
@@ -587,8 +587,6 @@ def token_kl_drift(
     per-token contributions need no second exchange (each word row is
     already whole); the final roll-up is one int64 partial per block.
     Returns one row (v, t0, t1, kl_e6)."""
-    import ray
-
     from opentapioca_ray.functions.text import tokenize_flat
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
 
@@ -683,9 +681,7 @@ def token_kl_drift(
         if t.num_rows:
             kl += int(t.column("e").to_numpy().sum())
 
-    import ray.data
-
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "v": pa.array([v], pa.int64()),
@@ -755,8 +751,6 @@ def fd_profile(ds, columns: list[str]):
     exchange carries only distinct combos; the facts never move."""
     import itertools
 
-    import ray.data
-
     from opentapioca_ray.stages.aggregates import partial_multi_sum_count
 
     ds = ds.select_columns(list(columns)).materialize()
@@ -774,7 +768,7 @@ def fd_profile(ds, columns: list[str]):
         np_ = pair_distinct.get((a, b)) or pair_distinct[(b, a)]
         nl = col_distinct[a]
         rows.append((a, b, nl, np_, np_ - nl, int(np_ == nl)))
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "lhs": pa.array([r[0] for r in rows], pa.string()),
@@ -808,9 +802,6 @@ def t_closeness(
     band histogram broadcast (bands are bounded by construction), one
     group-keyed exchange whose kernel walks each group's aligned
     cumulative gap."""
-    import ray
-    import ray.data
-
     from opentapioca_ray.stages.aggregates import partial_multi_sum_count
     from opentapioca_ray.stages.exchange import coarse_group_apply
 
@@ -835,7 +826,7 @@ def t_closeness(
          ("t_e6", pa.int64())]
     )
     if not gb:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     bands = np.array(sorted(gb), dtype=np.int64)
     gcounts = np.array([gb[int(b)] for b in bands], dtype=np.int64)
     gcum = np.cumsum(gcounts)

@@ -223,6 +223,12 @@ def _prefix_pair_partition(max_block_size: int, num: int, den: int):
     return kernel
 
 
+# Candidate pairs up to which `prefix_filter_pairs` broadcasts the packed
+# pair set for a pair-restricted verify; above it the full shuffle verify
+# runs. Tests reach it by monkeypatching this to 0.
+_PAIR_BROADCAST_LIMIT = 5_000_000
+
+
 def prefix_filter_pairs(
     ds,
     id_column: str = "doc_id",
@@ -232,7 +238,6 @@ def prefix_filter_pairs(
     k: int = 1,
     df_table_size: int = 65_536,
     max_block_size: int = 4_096,
-    pair_broadcast_limit: int = 5_000_000,
     n_parts: int | None = None,
 ):
     """Exact token-set Jaccard self-join via AllPairs prefix filtering.
@@ -243,7 +248,7 @@ def prefix_filter_pairs(
     `k` picks the token universe (1 = words, >=2 = word k-grams).
 
     Verification is pair-restricted when the candidate pair set fits
-    `pair_broadcast_limit` (explicitly bounded driver state: 8 bytes/pair,
+    `_PAIR_BROADCAST_LIMIT` (explicitly bounded driver state: 8 bytes/pair,
     the repo's standard driver-limit + shuffle-fallback convention): the
     packed (u, v) set is broadcast and each verify partition keeps only
     candidate pairs' partial counts, so the merge exchange carries the
@@ -327,11 +332,11 @@ def prefix_filter_pairs(
 
         # ---- pair-restricted verify (small/medium regime): pack the candidate
         # pair set into a sorted u64 array on the driver (bounded by
-        # pair_broadcast_limit) and broadcast it
+        # _PAIR_BROADCAST_LIMIT) and broadcast it
         n_pairs = pairs.count()  # capped sentinel rows already filtered out
         packed_ref = None
         cand_doc_count = None
-        if 0 < n_pairs <= pair_broadcast_limit:
+        if 0 < n_pairs <= _PAIR_BROADCAST_LIMIT:
             chunks = []
             for t in arrow_blocks(pairs):
                 if t.num_rows == 0 or "u" not in t.column_names:

@@ -26,7 +26,7 @@ import math
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 _TWO64 = 18446744073709551616.0  # 2^64, exact in float64
 
@@ -133,7 +133,6 @@ def heavy_hitters(ds, column: str, phi: float = 0.01, slack: float = 2.0):
 
     Returns (item, count) rows."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.exchange import coarse_groupby_agg
 
@@ -173,7 +172,7 @@ def heavy_hitters(ds, column: str, phi: float = 0.01, slack: float = 2.0):
         items = t.column("item").to_numpy(zero_copy_only=False)
         cand_chunks.append(items[mg > 0])
     if not cand_chunks or total_n == 0:
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.schema([("item", pa.string()), ("count", pa.int64())]).empty_table()
         )
     cand = np.unique(np.concatenate(cand_chunks))

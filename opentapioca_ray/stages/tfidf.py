@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 _VOCAB_BROADCAST_LIMIT = 20_000_000
 
@@ -106,7 +106,6 @@ def tfidf_top_terms(
     the df table is broadcast to one scoring map; above it the df rides a
     reduce-side join."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.aggregates import partial_sum_count
 
@@ -124,7 +123,7 @@ def tfidf_top_terms(
             if t.num_rows and "word" in t.column_names
         ]
         if not parts:
-            return ray.data.from_arrow(
+            return driver_dataset(
                 pa.table(
                     {
                         id_column: pa.array([], type=pa.int64()),

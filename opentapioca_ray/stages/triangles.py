@@ -26,7 +26,7 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
 
 # fixed 16-byte SipHash key for deterministic hub chunk assignment
@@ -244,7 +244,7 @@ def count_triangles(edges_ds):
             d = t.column("dst").to_numpy(zero_copy_only=False).astype(np.uint64)
             packed_parts.append((s << np.uint64(32)) | d)
         if not packed_parts:
-            return ray.data.from_arrow(
+            return driver_dataset(
                 pa.table({"n_triangles": pa.array([0], type=pa.int64())})
             )
         edge_set_ref = ray.put(np.sort(np.concatenate(packed_parts)))
@@ -344,7 +344,6 @@ def per_node_triangles(edges_ds, n_parts=None):
     (O(|E|) ints); beyond object-store scale, swap in the wedge-emission
     exchange exactly as count_triangles documents."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.aggregates import partial_sum_count
     from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
@@ -416,7 +415,7 @@ def per_node_triangles(edges_ds, n_parts=None):
         packed_parts.append((s << np.uint64(32)) | d)
     out_schema = pa.schema([("node", pa.int64()), ("n_triangles", pa.int64())])
     if not packed_parts:
-        return ray.data.from_arrow(out_schema.empty_table())
+        return driver_dataset(out_schema.empty_table())
     edge_set_ref = ray.put(np.sort(np.concatenate(packed_parts)))
 
     def corner_partials(df: pd.DataFrame) -> pd.DataFrame:
@@ -666,7 +665,6 @@ def _edge_support(edges_ds, n_parts=None, return_internals=False, mode="broadcas
     so `ktruss_edges` can peel with support DELTAS instead of a full
     wedge pass per round."""
     import ray
-    import ray.data
 
     from opentapioca_ray.stages.aggregates import partial_sum_count
     from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
@@ -701,7 +699,7 @@ def _edge_support(edges_ds, n_parts=None, return_internals=False, mode="broadcas
         if t.num_rows and "node" in t.column_names
     ]
     if not deg_parts:
-        empty = ray.data.from_arrow(
+        empty = driver_dataset(
             pa.schema([(c, pa.int64()) for c in ("u", "v", "sup")]).empty_table()
         )
         return (empty, None) if return_internals else empty
@@ -854,13 +852,20 @@ def _support_numpy(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return sup
 
 
+# k-truss regimes by edge count: up to `_KTRUSS_DRIVER_LIMIT` edges the
+# peel runs in numpy on the driver; up to `_SUPPORT_BROADCAST_LIMIT` the
+# delta peel broadcasts the packed edge set; above, every round is an
+# exchange-only support pass. Tests reach the other regimes by
+# monkeypatching these to 0.
+_KTRUSS_DRIVER_LIMIT = 2_000_000
+_SUPPORT_BROADCAST_LIMIT = 50_000_000
+
+
 def ktruss_edges(
     edges_ds,
     k: int = 4,
     rounds: int = 6,
     n_parts=None,
-    driver_limit: int = 2_000_000,
-    support_broadcast_limit: int = 50_000_000,
 ):
     """k-truss decomposition: iteratively drop every edge with triangle
     support < k-2 until stable (or `rounds` peels — mirror the SQL twin's
@@ -898,16 +903,15 @@ def ktruss_edges(
     if n_edges == 0:
         return _edge_support(edges, n_parts=n_parts)
 
-    if n_edges <= driver_limit:
+    if n_edges <= _KTRUSS_DRIVER_LIMIT:
         # Bounded driver fast path. `_edge_support` ALREADY holds the full
         # packed edge set on the driver (the broadcast closure regime), so
-        # peeling ≤ driver_limit edges in one numpy process adds no new
+        # peeling ≤ _KTRUSS_DRIVER_LIMIT edges in one numpy process adds no new
         # scale assumption — and skips the ~1 s/round exchange floor that
         # dominates tail peels. Above the limit, the delta-distributed
         # path below takes over (equivalence pinned in
         # tests/test_ktruss_delta.py).
         import ray
-        import ray.data
 
         parts = []
         for t in arrow_blocks(edges):
@@ -928,7 +932,7 @@ def ktruss_edges(
             s = _support_numpy(u, v)
             keep_m = s >= thresh
             if keep_m.all():
-                return ray.data.from_arrow(
+                return driver_dataset(
                     pa.table(
                         {
                             "u": pa.array(u, pa.int64()),
@@ -939,7 +943,7 @@ def ktruss_edges(
                 )
             u, v = u[keep_m], v[keep_m]
         s = _support_numpy(u, v)
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.table(
                 {
                     "u": pa.array(u, pa.int64()),
@@ -966,7 +970,7 @@ def ktruss_edges(
             }
         )
 
-    if n_edges > support_broadcast_limit:
+    if n_edges > _SUPPORT_BROADCAST_LIMIT:
         # Beyond object-store broadcast capacity: classic synchronous peel
         # with an exchange-only support pass per round (`_edge_support`
         # mode="shuffle") — no ray.put of anything proportional to |E|,
@@ -1030,9 +1034,7 @@ def ktruss_edges(
                 ).materialize()
             )
         if n_dropped == n_edges:
-            import ray.data
-
-            return ray.data.from_arrow(out_schema.empty_table())
+            return driver_dataset(out_schema.empty_table())
         d_tbl = pa.concat_tables(drop_parts)
         du = d_tbl.column("u").to_numpy(zero_copy_only=False).astype(np.int64)
         dv = d_tbl.column("v").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -1263,8 +1265,6 @@ def butterfly_count(
     bounded by min(raw rows, input blocks × deg), linear in degree (rows,
     not pairs), the price of fusing dedup + degrees + wedges into one
     all-to-all."""
-    import ray.data
-
     from opentapioca_ray.stages.exchange import (
         coarse_group_apply,
         segment_starts,
@@ -1386,7 +1386,7 @@ def butterfly_count(
     BUTTERFLY_TELEMETRY["max_chunks"] = int(hub_ms.max()) if len(hub_ms) else 0
 
     if n_edges == 0:
-        return ray.data.from_arrow(
+        return driver_dataset(
             pa.table(
                 {
                     "n_edges": pa.array([0], pa.int64()),
@@ -1569,7 +1569,7 @@ def butterfly_count(
     census = coarse_group_apply(
         pair_stream, "k", census_partition, n_parts=n_parts
     ).take_all()
-    return ray.data.from_arrow(
+    return driver_dataset(
         pa.table(
             {
                 "n_edges": pa.array([n_edges], pa.int64()),

@@ -18,7 +18,7 @@ Scale shape: positions are a (walker, node) dataset, bounded by NODE
 count (one walker per node), not data volume. The adjacency is ranked
 ONCE (per-src sort + rank/degree columns); every step is a (node, rank)
 point lookup against it. Two regimes, the repo's standard
-node-table-bounded pattern (HITS `score_broadcast_limit`):
+node-table-bounded pattern (HITS `_SCORE_BROADCAST_LIMIT`):
 
 - broadcast (while the ranked adjacency has at most
   `_WALK_BROADCAST_LIMIT` rows, an upper bound on #walkers): the
@@ -39,7 +39,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
-from opentapioca_ray.stages.exchange import arrow_blocks
+from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 from opentapioca_ray.stages.graphops import both_dirs
 
 _WALK_SCHEMA = pa.schema(
@@ -302,12 +302,11 @@ def _walks_broadcast(adj, steps: int):
     (src, rank) row per walker returned (O(#walkers) driver rows —
     NODE-bounded, guarded by `_WALK_BROADCAST_LIMIT` in random_walks)."""
     import ray
-    import ray.data
 
     # node -> degree, node-bounded, one collect for all steps
     refs = [t for t in arrow_blocks(adj) if t.num_rows > 0]
     if not refs:
-        return ray.data.from_arrow([_WALK_SCHEMA.empty_table()])
+        return driver_dataset([_WALK_SCHEMA.empty_table()])
     deg_tbl = pa.concat_tables(
         [t.select(["src", "deg", "rank"]) for t in refs]
     )
@@ -389,4 +388,4 @@ def _walks_broadcast(adj, steps: int):
                 }
             )
         )
-    return ray.data.from_arrow(walk_tables)
+    return driver_dataset(walk_tables)

@@ -145,14 +145,14 @@ def train_bow(ds, text_column: str = "text", threshold: int = 2):
     """
     import pyarrow.compute as pc
 
-    from opentapioca_ray.stages.exchange import sum_partials
+    from opentapioca_ray.stages.exchange import materialized, sum_partials
 
     partial = ds.map_batches(
         lambda b: partial_word_counts(b, text_column),
         batch_format="pyarrow",
         zero_copy_batch=True,
     ).materialize()
-    counts = sum_partials(partial, ["word"], _COUNT_SCHEMA).materialize()
+    counts = materialized(sum_partials(partial, ["word"], _COUNT_SCHEMA))
     total = sum(
         pc.sum(t.column("count")).as_py() or 0
         for t in arrow_blocks(counts)

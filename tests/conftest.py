@@ -37,3 +37,22 @@ def ray_execs(monkeypatch):
 
     monkeypatch.setattr(StreamingExecutor, "execute", execute)
     return lambda: len(calls)
+
+
+@pytest.fixture
+def from_arrow_calls(monkeypatch):
+    """Callable returning how many `ray.data.read_api.from_arrow_refs`
+    Datasets (each with one remote metadata task per block; every
+    `ray.data.from_arrow` builds one) this process built since the fixture
+    was set up. The wrap is undone on teardown."""
+    import ray.data.read_api
+
+    calls = []
+    original = ray.data.read_api.from_arrow_refs
+
+    def from_arrow_refs(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(ray.data.read_api, "from_arrow_refs", from_arrow_refs)
+    return lambda: len(calls)

@@ -170,6 +170,29 @@ def test_rollup_sum_levels(ray_session):
     assert len(key) == 6  # 3 fine + 2 mid + 1 grand
 
 
+def test_rollup_sum_exchange_per_level(ray_session, monkeypatch):
+    """`_ROLLUP_FINE_LIMIT` = 0: one exchange per coarser level gives the
+    rows of the one-task derivation."""
+    import ray.data
+
+    from opentapioca_ray.stages import aggregates
+
+    rng = np.random.default_rng(4)
+    rows = [
+        {"a": f"a{rng.integers(0, 4)}", "b": f"b{rng.integers(0, 5)}", "v": float(rng.integers(1, 9))}
+        for _ in range(60)
+    ]
+
+    def levels():
+        out = aggregates.rollup_sum(ray.data.from_items(rows), ["a", "b"], "v").to_pandas()
+        return sorted(map(tuple, out[["a", "b", "total_e4", "n"]].values.tolist()))
+
+    one_task = levels()
+    monkeypatch.setattr(aggregates, "_ROLLUP_FINE_LIMIT", 0)
+    assert levels() == one_task
+    assert ("ALL", "ALL", 10_000 * sum(r["v"] for r in rows), 60) in one_task
+
+
 def test_group_regression_exact_line(ray_session):
     import pyarrow as pa
     import ray.data

@@ -253,6 +253,25 @@ def test_annotate_and_collect_run_once(ray_session, ray_execs):
     assert sum(t.num_rows for t in from_materialized) == n_tags
 
 
+def test_classify_builds_no_from_arrow_dataset(ray_session, from_arrow_calls):
+    """Below `_DRIVER_CLASSIFY_LIMIT` tag rows the driver-classified
+    result becomes a Dataset through `driver_dataset`: classifying lazy
+    tags and collecting the result builds no `from_arrow_refs` Dataset
+    (one remote metadata task per block)."""
+    import ray.data
+
+    from opentapioca_ray.stages.classify import classify_dataset
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    docs, _ = corpus()
+    bow, pr = bow_and_pagerank()
+    params = ClassifierParams(nb_steps=2)
+    lazy_tags = tag_documents(ray.data.from_items(docs), entities(), bow, pr)
+    result = classify_dataset(lazy_tags, _fixed_model(params.nb_steps), params)
+    assert sum(t.num_rows for t in arrow_blocks(result)) > 0
+    assert from_arrow_calls() == 0
+
+
 def _classified(tags, model, params) -> pa.Table:
     """`classify_dataset`'s blocks, each checked against the fixed result
     schema, concatenated in (doc_id, start, end, qid) order. The exchange

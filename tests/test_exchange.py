@@ -5,6 +5,7 @@ per-partition kernel reproduces a per-key `groupby(key).map_groups`."""
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 import pytest
 
 from opentapioca_ray.stages.exchange import (
@@ -12,6 +13,7 @@ from opentapioca_ray.stages.exchange import (
     arrow_blocks,
     block_refs,
     coarse_group_apply,
+    driver_dataset,
     segment_ids,
     segment_starts,
 )
@@ -179,3 +181,96 @@ def test_sum_partials_regimes_agree(ray_session, monkeypatch, ray_execs):
         out = sum_partials(source, ["kind", "key"], schema)
         blocks = out if isinstance(out, list) else list(arrow_blocks(out))
         assert [t.schema for t in blocks] == [schema] and blocks[0].num_rows == 0
+
+
+_DRIVER_SCHEMA = pa.schema([("id", pa.int64()), ("name", pa.string())])
+
+
+def _driver_tables(n_blocks: int) -> list:
+    """`n_blocks` tables of `_DRIVER_SCHEMA` (one empty table for 0)."""
+    if not n_blocks:
+        return [_DRIVER_SCHEMA.empty_table()]
+    return [
+        pa.table(
+            {"id": list(range(10 * b, 10 * b + 4 + b)),
+             "name": [f"n{i}" for i in range(4 + b)]},
+            schema=_DRIVER_SCHEMA,
+        )
+        for b in range(n_blocks)
+    ]
+
+
+@pytest.mark.parametrize("n_blocks", [1, 3, 0])
+def test_driver_dataset_matches_from_arrow(ray_session, ray_execs, n_blocks):
+    """`driver_dataset` builds the Dataset that
+    `ray.data.from_arrow(...).materialize()` does (rows, schema, blocks,
+    count), and collecting, counting or materializing it runs no Ray Data
+    execution. It builds its plan from Ray internals, so a Ray upgrade
+    that changes them fails here; maps and unions downstream still run."""
+    import ray.data
+
+    tables = _driver_tables(n_blocks)
+    want = ray.data.from_arrow(tables).materialize()
+    start = ray_execs()
+    got = driver_dataset(tables if n_blocks != 1 else tables[0])
+    assert got.num_blocks() == want.num_blocks() == len(tables)
+    assert got.count() == want.count() == sum(t.num_rows for t in tables)
+    assert got.schema().names == want.schema().names == _DRIVER_SCHEMA.names
+    assert got.schema().types == want.schema().types == _DRIVER_SCHEMA.types
+    got_blocks = list(arrow_blocks(got))
+    assert [t.to_pydict() for t in got_blocks] == [
+        t.to_pydict() for t in arrow_blocks(want)
+    ]
+    again = got.materialize()
+    assert again.count() == got.count()
+    assert [t.to_pydict() for t in arrow_blocks(again)] == [t.to_pydict() for t in tables]
+    assert ray_execs() == start
+
+    doubled = got.map_batches(
+        lambda b: b.set_column(0, "id", pc.multiply(b.column("id"), 2)),
+        batch_format="pyarrow",
+    )
+    assert sorted(r["id"] for r in doubled.take_all()) == sorted(
+        2 * i for t in tables for i in t.column("id").to_pylist()
+    )
+    union = got.union(driver_dataset(_driver_tables(1)))
+    assert union.count() == got.count() + _driver_tables(1)[0].num_rows
+
+
+def test_driver_slices_run_no_metadata_task(ray_session, ray_execs, from_arrow_calls):
+    """`driver_slices` builds no `from_arrow_refs` Dataset (whose remote
+    metadata task per block the driver regimes used to pay) and a collect
+    of its slices runs no execution."""
+    from opentapioca_ray.stages.exchange import driver_slices
+
+    table = pa.table({"id": np.arange(100, dtype=np.int64)})
+    start = ray_execs()
+    ds = driver_slices(table)
+    assert ds.num_blocks() > 1
+    assert pa.concat_tables(arrow_blocks(ds)).equals(table)
+    assert ray_execs() == start
+    assert from_arrow_calls() == 0
+
+
+def test_from_arrow_only_in_exchange():
+    """`stages/exchange.py:driver_dataset` is the one driver-to-Dataset
+    path: no other module of the engine calls `from_arrow(...)` (each call
+    pays a remote metadata task per block). `from_arrow_refs` over
+    worker-held refs is a different call and stays allowed."""
+    import ast
+    import pathlib
+
+    root = pathlib.Path(__file__).resolve().parents[1]
+    paths = [root / "__ray_entry__.py", *sorted((root / "opentapioca_ray").rglob("*.py"))]
+    calls = []
+    for path in paths:
+        if path == root / "opentapioca_ray" / "stages" / "exchange.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                f = node.func
+                name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+                if name == "from_arrow":
+                    calls.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert len(paths) > 50
+    assert calls == []

@@ -24,8 +24,9 @@ def test_hits_star_semantics(ray_session):
     assert all(h[i] < h[1] for i in (0, 2, 3, 4))
 
 
-def test_hits_broadcast_equals_shuffle(ray_session):
+def test_hits_broadcast_equals_shuffle(ray_session, monkeypatch):
     """The two execution regimes are the same function."""
+    from opentapioca_ray.stages import hits
     from opentapioca_ray.stages.hits import hits_scores
 
     rng = np.random.default_rng(6)
@@ -33,9 +34,8 @@ def test_hits_broadcast_equals_shuffle(ray_session):
         {(int(s), 1000 + int(d)) for s, d in zip(rng.integers(0, 40, 300), rng.integers(0, 15, 300))}
     )
     h1, a1 = hits_scores(_edges(rows), rounds=3, n_parts=4)
-    h2, a2 = hits_scores(
-        _edges(rows), rounds=3, n_parts=4, score_broadcast_limit=0
-    )
+    monkeypatch.setattr(hits, "_SCORE_BROADCAST_LIMIT", 0)
+    h2, a2 = hits_scores(_edges(rows), rounds=3, n_parts=4)
     assert {(r["node"], r["score"]) for r in h1.take_all()} == {
         (r["node"], r["score"]) for r in h2.take_all()
     }

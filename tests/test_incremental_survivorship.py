@@ -66,13 +66,14 @@ def test_survivorship_majority_with_tiebreak(ray_session):
     assert got == {(1, "lang"): ("en", 2), (4, "lang"): ("de", 1)}
 
 
-def test_incremental_pairs_broadcast_matches_exchange(ray_session):
+def test_incremental_pairs_broadcast_matches_exchange(ray_session, monkeypatch):
     """The delta-broadcast regime (corpus-side Arrow hash join against the
     ray.put gram table) must reproduce the two-sided-exchange regime
     bit-for-bit, jaccard values included, on a random corpus."""
     import numpy as np
     import ray.data
 
+    from opentapioca_ray.stages import dedup
     from opentapioca_ray.stages.dedup import incremental_jaccard_pairs
 
     rng = np.random.default_rng(11)
@@ -103,10 +104,10 @@ def test_incremental_pairs_broadcast_matches_exchange(ray_session):
         ray.data.from_arrow(old).repartition(4),
         **kw,
     ).to_pandas()
+    monkeypatch.setattr(dedup, "_DELTA_BROADCAST_LIMIT", 0)
     exchange = incremental_jaccard_pairs(
         ray.data.from_arrow(new).repartition(3),
         ray.data.from_arrow(old).repartition(4),
-        delta_broadcast_limit=0,
         **kw,
     ).to_pandas()
     key = ["u", "v"]

@@ -38,16 +38,19 @@ def _ref_ktruss(pairs, k, rounds):
 
 
 def _run_ktruss(pairs, k, rounds, driver_limit=0):
-    """driver_limit=0 forces the delta-distributed path; a large limit
-    exercises the bounded driver numpy fast path."""
+    """`_KTRUSS_DRIVER_LIMIT` set to `driver_limit`: 0 forces the
+    delta-distributed path; a large limit exercises the bounded driver
+    numpy fast path."""
     import ray.data
 
-    from opentapioca_ray.stages.triangles import ktruss_edges
+    from opentapioca_ray.stages import triangles
 
     df = pd.DataFrame(pairs, columns=["u", "v"])
-    out = ktruss_edges(
-        ray.data.from_pandas(df), k=k, rounds=rounds, driver_limit=driver_limit
-    ).to_pandas()
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(triangles, "_KTRUSS_DRIVER_LIMIT", driver_limit)
+        out = triangles.ktruss_edges(
+            ray.data.from_pandas(df), k=k, rounds=rounds
+        ).to_pandas()
     return {
         (int(r.u), int(r.v)): int(r.sup) for r in out.itertuples(index=False)
     }
@@ -121,12 +124,12 @@ def test_edge_support_shuffle_matches_broadcast(ray_session):
     assert b == s
 
 
-def test_ktruss_full_exchange_regime_matches_reference(ray_session):
-    """support_broadcast_limit=0 forces the per-round exchange-only peel;
-    it must match the full-recompute reference exactly."""
+def test_ktruss_full_exchange_regime_matches_reference(ray_session, monkeypatch):
+    """`_SUPPORT_BROADCAST_LIMIT` = 0 forces the per-round exchange-only
+    peel; it must match the full-recompute reference exactly."""
     import ray.data
 
-    from opentapioca_ray.stages.triangles import ktruss_edges
+    from opentapioca_ray.stages import triangles
 
     rng = np.random.default_rng(9)
     pairs = sorted(
@@ -141,12 +144,8 @@ def test_ktruss_full_exchange_regime_matches_reference(ray_session):
     )
     ref = _ref_ktruss(pairs, 4, 6)
     df = pd.DataFrame(pairs, columns=["u", "v"])
-    out = ktruss_edges(
-        ray.data.from_pandas(df),
-        k=4,
-        rounds=6,
-        driver_limit=0,
-        support_broadcast_limit=0,
-    ).to_pandas()
+    monkeypatch.setattr(triangles, "_KTRUSS_DRIVER_LIMIT", 0)
+    monkeypatch.setattr(triangles, "_SUPPORT_BROADCAST_LIMIT", 0)
+    out = triangles.ktruss_edges(ray.data.from_pandas(df), k=4, rounds=6).to_pandas()
     got = {(int(r.u), int(r.v)): int(r.sup) for r in out.itertuples(index=False)}
     assert got == ref

@@ -167,8 +167,8 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
       3. linkage_clusters: the scored pairs (materialize); the match edges
          are filtered on the driver off those blocks, and the local
          connected-components regime returns its labels as one
-         materialized `from_arrow` block, so the caller's collect of the
-         clusters runs no execution
+         `driver_dataset` block (already executed), so the caller's
+         collect of the clusters runs no execution
     A collect that also fetches the dataset schema (`to_arrow_refs`)
     re-runs a lazy plan and adds an execution to 2."""
     import ray.data
@@ -182,6 +182,25 @@ def test_linkage_execution_count(ray_session, corpus, ray_execs):
     nodes = sum(t.num_rows for t in arrow_blocks(clusters))
     assert ray_execs() - start == 3
     assert nodes > 0
+
+
+def test_linkage_builds_no_from_arrow_dataset(ray_session, corpus, from_arrow_calls):
+    """Every driver-built result of the small-regime linkage (the driver
+    pairs, the attached tokens, the match edges and the component labels)
+    becomes a Dataset through `driver_dataset`, which runs no remote
+    metadata task: `linkage_clusters` plus a collect of its clusters builds
+    no `from_arrow_refs` Dataset."""
+    import ray.data
+
+    from opentapioca_ray.stages.exchange import arrow_blocks
+
+    files_df, _ = corpus
+    clusters, scored = linkage_clusters(
+        ray.data.from_pandas(files_df), model=None, threshold=0.2
+    )
+    assert sum(t.num_rows for t in arrow_blocks(clusters)) > 0
+    assert scored.count() > 0
+    assert from_arrow_calls() == 0
 
 
 def _front_corpus():

@@ -3,6 +3,7 @@
 import math
 
 import pyarrow as pa
+import pytest
 
 
 def _scores(rows, **kw):
@@ -29,6 +30,15 @@ def test_hand_computed_scores(ray_session):
 def test_empty_and_whitespace_docs_dropped(ray_session):
     out = _scores({"doc_id": [1, 2, 3], "text": ["a b", "", "   "]})
     assert out["doc_id"].tolist() == [1]
+
+
+def test_vocabulary_over_limit_raises(ray_session, monkeypatch):
+    """A vocabulary over `_VOCAB_LIMIT` words is not broadcast."""
+    from opentapioca_ray.stages import lm
+
+    monkeypatch.setattr(lm, "_VOCAB_LIMIT", 2)
+    with pytest.raises(ValueError, match="_VOCAB_LIMIT"):
+        _scores({"doc_id": [1, 2], "text": ["a a b", "b c"]})
 
 
 def test_foreign_model_oov(ray_session):

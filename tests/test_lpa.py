@@ -69,10 +69,11 @@ def test_lpa_parallel_edges_do_not_double_vote(ray_session):
     assert got == exp
 
 
-def test_lpa_broadcast_equals_shuffle(ray_session):
+def test_lpa_broadcast_equals_shuffle(ray_session, monkeypatch):
     import numpy as np
     import ray.data
 
+    from opentapioca_ray.stages import lpa
     from opentapioca_ray.stages.lpa import label_propagation
 
     rng = np.random.default_rng(3)
@@ -87,10 +88,9 @@ def test_lpa_broadcast_equals_shuffle(ray_session):
         (r["node"], r["label"])
         for r in label_propagation(ds, rounds=4, n_parts=4).take_all()
     )
+    monkeypatch.setattr(lpa, "_LABEL_BROADCAST_LIMIT", 0)
     sh = sorted(
         (r["node"], r["label"])
-        for r in label_propagation(
-            ds, rounds=4, n_parts=4, label_broadcast_limit=0
-        ).take_all()
+        for r in label_propagation(ds, rounds=4, n_parts=4).take_all()
     )
     assert bc == sh

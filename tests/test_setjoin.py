@@ -68,6 +68,24 @@ def test_prefix_pairs_match_brute_force(ray_session, num, den):
     assert got == _brute_pairs(docs, num, den)
 
 
+def test_prefix_pairs_full_verify_regime(ray_session, monkeypatch):
+    """`_PAIR_BROADCAST_LIMIT` = 0: the full shuffle verify, with no
+    candidate-pair broadcast, gives the same exact pairs."""
+    import ray.data
+
+    from opentapioca_ray.stages import setjoin
+
+    monkeypatch.setattr(setjoin, "_PAIR_BROADCAST_LIMIT", 0)
+    docs = _corpus()
+    got = {
+        (r["u"], r["v"]): r["jacc_e6"]
+        for r in setjoin.prefix_filter_pairs(
+            ray.data.from_items(docs), num=1, den=2, n_parts=4
+        ).take_all()
+    }
+    assert got == _brute_pairs(docs, 1, 2)
+
+
 def test_prefix_pairs_kgram_universe(ray_session):
     import ray.data
 
