@@ -1962,7 +1962,8 @@ def _q_corpus_prep(sf_dir: str):
         whitespace_token_lists,
     )
     from opentapioca_ray.stages.dedup import exact_dedup, gram_doc_rows
-    from opentapioca_ray.stages.exchange import coarse_semi_join, right_size
+    from opentapioca_ray.stages.exchange import right_size
+    from opentapioca_ray.stages.relational import coarse_semi_join
     from opentapioca_ray.stages.selection import prefix_scan_select
 
     docs = _docs(sf_dir).materialize()
@@ -8352,7 +8353,7 @@ def _q_orphan_rate(sf_dir: str):
     import numpy as np
     import pyarrow as pa
 
-    from opentapioca_ray.stages.exchange import coarse_semi_join
+    from opentapioca_ray.stages.relational import coarse_semi_join
 
     def count_ds(ds) -> int:
         return ds.count()

@@ -329,14 +329,17 @@ def _band_pairs(tables, bands_ds, max_block_size: int, window: int):
     """Pairs of MATERIALIZED band rows: `tables` are their blocks (read on
     the driver, no execution), `bands_ds` the dataset they came from. The
     singleton-key count decides the regime: driver pairing up to
-    `_DRIVER_PAIRS_LIMIT` surviving rows, else a distributed `keep_keys`
-    filter of `bands_ds` and the shuffle pairing."""
-    from opentapioca_ray.stages.pairs import keep_keys, surviving_keys
+    `_DRIVER_PAIRS_LIMIT` surviving rows, else a `broadcast_semi_join` of
+    `bands_ds` on the survivors and the shuffle pairing."""
+    from opentapioca_ray.stages.pairs import surviving_keys
+    from opentapioca_ray.stages.relational import broadcast_semi_join
 
     survivors, n_survivors = surviving_keys(tables)
     if n_survivors <= _DRIVER_PAIRS_LIMIT:
         return _driver_id_pairs(tables, survivors, max_block_size, window)
-    return _shuffle_id_pairs(keep_keys(bands_ds, survivors), max_block_size, window)
+    return _shuffle_id_pairs(
+        broadcast_semi_join(bands_ds, survivors, "block_key"), max_block_size, window
+    )
 
 
 def _shuffle_id_pairs(candidates, max_block_size: int, window: int):
@@ -499,7 +502,7 @@ def attach_pair_tokens(pairs_ds, files_ds):
     vectorized dict join. Above it (`_shuffle_attach`, the 100 TB path):
     NOTHING proportional to #pairs touches the driver — candidate token
     rows are selected by a distributed semi-join on the slim pair-id column
-    (stages/exchange.coarse_semi_join), then attached to both pair sides
+    (stages/relational.coarse_semi_join), then attached to both pair sides
     with coarse exchanges."""
     pairs_ds = materialized(pairs_ds)  # small: deduped candidate pairs
     n_pairs = pairs_ds.count()
@@ -620,7 +623,8 @@ def _shuffle_attach(pairs_ds, files_ds):
     # blocks >> rows regime (the filtered candidate tokens inherit the
     # corpus's block count; Ray's sort groupby pays per-block task
     # overhead) before the exchanges.
-    from opentapioca_ray.stages.exchange import coarse_semi_join, right_size
+    from opentapioca_ray.stages.exchange import right_size
+    from opentapioca_ray.stages.relational import coarse_semi_join
 
     key_schema = pa.schema([("file_id", pa.int64())])
 

@@ -46,6 +46,8 @@ def _coarse_codes(key_col, n_parts: int) -> pa.Array:
             vals, pc.multiply(pc.divide(vals, n_parts), pa.scalar(n_parts, pa.int64()))
         )
         part = pc.if_else(pc.less(part, 0), pc.add(part, n_parts), part)
+    if part.null_count:  # null keys share partition 0
+        part = pc.fill_null(part, 0)
     return part.combine_chunks() if isinstance(part, pa.ChunkedArray) else part
 
 
@@ -327,77 +329,6 @@ def sum_partials(parts, keys: list[str], schema: pa.Schema):
         [sums.column(n if n in keys else f"{n}_sum") for n in schema.names], schema=schema
     )
     return [table] if on_driver else driver_slices(table)
-
-
-def coarse_semi_join(
-    ds,
-    key_column: str,
-    keys_ds,
-    schema: pa.Schema,
-    keys_column: str | None = None,
-    n_parts: int | None = None,
-):
-    """Distributed semi-join: keep `ds` rows whose `key_column` value appears
-    anywhere in `keys_ds[keys_column]` (duplicate keys on either side are
-    fine; no row multiplication). ONE coarse exchange on hash(key) % P over
-    the union of data rows and slim key rows; each partition filters its data
-    rows with a vectorized sorted-array membership test.
-
-    This is the scale replacement for the driver-collect + broadcast-`is_in`
-    prefilter shape: nothing proportional to the key volume ever touches the
-    driver. `schema` is `ds`'s Arrow schema (callers know it; asking the
-    Dataset would force execution)."""
-    keys_column = keys_column or key_column
-    out_fields = list(zip(schema.names, schema.types))
-    union_schema = pa.schema([*out_fields, ("__is_key", pa.bool_())])
-
-    def data_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or key_column not in batch.column_names:
-            return union_schema.empty_table()
-        cols = {name: batch.column(name).cast(typ) for name, typ in out_fields}
-        cols["__is_key"] = pa.array(np.zeros(batch.num_rows, dtype=bool))
-        return pa.table(cols).cast(union_schema)
-
-    def key_rows(batch: pa.Table) -> pa.Table:
-        if batch.num_rows == 0 or keys_column not in batch.column_names:
-            return union_schema.empty_table()
-        n = batch.num_rows
-        cols = {
-            name: (
-                batch.column(keys_column).cast(typ)
-                if name == key_column
-                else pa.nulls(n, type=typ)
-            )
-            for name, typ in out_fields
-        }
-        cols["__is_key"] = pa.array(np.ones(n, dtype=bool))
-        return pa.table(cols).cast(union_schema)
-
-    unioned = ds.map_batches(data_rows, batch_format="pyarrow").union(
-        keys_ds.map_batches(key_rows, batch_format="pyarrow")
-    )
-    out_names = [name for name, _ in out_fields]
-
-    def filter_partition(t: pa.Table) -> pa.Table:
-        if t.num_rows == 0 or "__is_key" not in t.column_names:
-            return pa.schema(out_fields).empty_table()
-        isk = t.column("__is_key").to_numpy(zero_copy_only=False).astype(bool)
-        data = t.filter(pa.array(~isk))
-        if data.num_rows == 0:
-            return data.select(out_names)
-        keys_arr = t.filter(pa.array(isk)).column(key_column)
-        if keys_arr.length() == 0:
-            return data.select(out_names).slice(0, 0)
-        ks = np.unique(keys_arr.to_numpy(zero_copy_only=False))
-        dk = data.column(key_column).to_numpy(zero_copy_only=False)
-        idx = np.clip(np.searchsorted(ks, dk), 0, len(ks) - 1)
-        keep = ks[idx] == dk
-        return data.filter(pa.array(keep)).select(out_names)
-
-    return coarse_group_apply(
-        unioned, key_column, filter_partition, n_parts=n_parts,
-        batch_format="pyarrow",
-    )
 
 
 def right_size(ds, rows_per_block: int = 65_536):

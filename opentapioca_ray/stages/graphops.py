@@ -253,11 +253,8 @@ def kcore_degrees(
     semi-joins (edges keyed by u, then v) — all integer, nothing
     driver-side."""
     from opentapioca_ray.stages.cc import local_edge_columns
-    from opentapioca_ray.stages.exchange import (
-        coarse_groupby_agg,
-        coarse_semi_join,
-        right_size,
-    )
+    from opentapioca_ray.stages.exchange import coarse_groupby_agg, right_size
+    from opentapioca_ray.stages.relational import coarse_semi_join
 
     deg_schema = pa.schema([("node", pa.int64()), ("degree", pa.int64())])
 

@@ -181,7 +181,7 @@ def prefilter_singleton_blocks(
     import pyarrow.compute as pc
 
     from opentapioca_ray.stages.aggregates import partial_sum_count
-    from opentapioca_ray.stages.exchange import coarse_semi_join
+    from opentapioca_ray.stages.relational import broadcast_semi_join, coarse_semi_join
 
     blocks_ds = blocks_ds.materialize()  # consumed twice: count + filter
     if blocks_ds.count() <= DRIVER_COMBINE_LIMIT:
@@ -190,7 +190,7 @@ def prefilter_singleton_blocks(
         )
         if survivors is None:
             return blocks_ds
-        return keep_keys(blocks_ds, survivors)
+        return broadcast_semi_join(blocks_ds, survivors, "block_key")
 
     counts = partial_sum_count(
         blocks_ds.select_columns(["block_key"]),
@@ -263,21 +263,6 @@ def surviving_keys(tables, min_size: int = 2, max_size: int | None = None):
             sel &= counts <= max_size
         survivors = pa.array(uniq[sel], type=key_arr.type)
     return survivors, int(counts[sel].sum())
-
-
-def keep_keys(blocks_ds, survivors: pa.Array):
-    """Distributed filter: the rows of `blocks_ds` whose `block_key` is in
-    `survivors` (broadcast once via `ray.put`)."""
-    import pyarrow.compute as pc
-    import ray
-
-    keys_ref = ray.put(survivors)
-
-    def keep(batch: pa.Table) -> pa.Table:
-        mask = pc.is_in(batch.column("block_key"), value_set=ray.get(keys_ref))
-        return batch.filter(mask)
-
-    return blocks_ds.map_batches(keep, batch_format="pyarrow")
 
 
 def block_pairs(keys, order, ids, max_block_size: int | None, window: int):

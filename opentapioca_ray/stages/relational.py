@@ -1,12 +1,23 @@
-"""Relational join helpers.
+"""Relational joins: equi-joins, semi/anti joins and division.
 
-`broadcast_join` is the map-side hash join for small dimension tables: the
-small side ships ONCE via ray.put (zero-copy plasma) and each batch of the
-big side attaches columns with a vectorized sorted-key lookup — no shuffle
-of the fact table at all (driver brief: "broadcast small sides with ray.put
-+ lookup inside map_batches instead of a shuffle join"). For two tables of
-comparable size use the union + groupby reduce-side join pattern
-(pipelines/linkage.py `attach_pair_tokens`) instead.
+`broadcast_join` attaches columns of a small dimension table (shipped once
+via ray.put) to each probe batch by a sorted-key lookup; `shuffle_join`
+joins two big sides with ONE coarse exchange on hash(key) % P and
+pyarrow's hash join per partition (m:n keys fan out as in SQL).
+
+Every semi/anti join is defined here, over one membership kernel
+(`sorted_keys` + `is_member`) and one contract in every regime: a null
+key never matches, so the semi-join drops null-key probe rows and the
+anti-join keeps them (SQL `NOT EXISTS`), and null build keys are ignored;
+duplicate keys never multiply rows; the output schema is exactly the
+probe schema (no widening, no pandas metadata). `semi_join` broadcasts
+the sorted build keys (`broadcast_semi_join`) up to
+`_SEMI_BROADCAST_LIMIT` distinct keys, else runs the exchange regime
+(`coarse_semi_join`: ONE coarse exchange over probe rows plus slim key
+rows), which scale callers with big build sides also call directly.
+`bloom_semi_join` prunes the probe with a Bloom filter before the exact
+`semi_join`; `bloom_semijoin` keeps the filter's false positives in its
+output, annotated.
 """
 
 from __future__ import annotations
@@ -23,12 +34,10 @@ def broadcast_join(
     left_key: str,
     right_key: str,
     columns: list[str],
-    how: str = "inner",
 ):
-    """Attach `columns` of `dim_table` to every row of `ds` by equi-key.
-
-    `how="inner"` drops unmatched fact rows; `how="left"` keeps them with
-    nulls. The dimension side must have unique keys (validated)."""
+    """Inner-join `columns` of `dim_table` onto every row of `ds` by
+    equi-key; unmatched fact rows are dropped. The dimension side must have
+    unique keys (validated)."""
     import ray
 
     keys = dim_table.column(right_key).to_numpy(zero_copy_only=False)
@@ -51,33 +60,57 @@ def broadcast_join(
         idx = np.searchsorted(keys_s, lk)
         idx_clipped = np.clip(idx, 0, len(keys_s) - 1)
         matched = keys_s[idx_clipped] == lk
-        out = batch
-        if how == "inner":
-            out = batch.filter(pa.array(matched))
-            take_idx = pa.array(idx_clipped[matched])
-            for c in columns:
-                out = out.append_column(c, pay[c].take(take_idx))
-        else:
-            for c in columns:
-                vals = pay[c].take(pa.array(idx_clipped)).to_pylist()
-                vals = [v if m else None for v, m in zip(vals, matched)]
-                out = out.append_column(
-                    c, pa.array(vals, type=dim_table.schema.field(c).type)
-                )
+        out = batch.filter(pa.array(matched))
+        take_idx = pa.array(idx_clipped[matched])
+        for c in columns:
+            out = out.append_column(c, pay[c].take(take_idx))
         return out
 
     return ds.map_batches(attach, batch_format="pyarrow")
 
 
+def _key_values(col) -> np.ndarray:
+    """A null-free key column as numpy. Integer keys widen to int64, so
+    probe and build keys of different widths compare by value."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    if pa.types.is_integer(col.type) and col.type != pa.uint64():
+        col = col.cast(pa.int64())
+    return col.to_numpy(zero_copy_only=False)
+
+
+def sorted_keys(col) -> np.ndarray:
+    """Build side of the membership kernel: the distinct non-null values of
+    a key column (Arrow), sorted. Null build keys are dropped here: a null
+    never matches."""
+    return np.unique(_key_values(col.drop_null()))
+
+
+def is_member(keys: np.ndarray, col) -> np.ndarray:
+    """The semi-join membership kernel, shared by both regimes: a bool mask
+    over the probe key column `col` (Arrow), True where the key is non-null
+    and occurs in `keys` (a `sorted_keys` array). One vectorized
+    searchsorted; no hash set is built per batch."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    mask = np.zeros(len(col), dtype=bool)
+    if len(keys) == 0 or len(col) == 0:
+        return mask
+    valid = col.is_valid().to_numpy(zero_copy_only=False)
+    vals = _key_values(col.drop_null())
+    idx = np.clip(np.searchsorted(keys, vals), 0, len(keys) - 1)
+    mask[valid] = keys[idx] == vals
+    return mask
+
+
 def distinct_keys(ds, column: str, limit: int = 50_000_000) -> np.ndarray:
-    """Distinct values of `column` as a sorted numpy array for broadcast.
+    """Distinct non-null values of `column` as a sorted numpy array for
+    broadcast (`sorted_keys` of the deduped column).
 
     Combiner-first: per-batch unique (map side) -> groupby dedup -> the
     distinct set (bounded by `limit`) is the only thing collected. This is
-    the build side of `broadcast_semi_join`; at cardinalities beyond the
-    broadcast budget use a shuffle semi-join (coarse_group_apply on the key)
-    instead."""
-    import ray
+    the build side of `broadcast_semi_join`; beyond `limit` it raises and
+    `semi_join` takes the exchange regime instead."""
     import pyarrow.compute as pc
 
     def uniq(batch: pa.Table) -> pa.Table:
@@ -99,30 +132,24 @@ def distinct_keys(ds, column: str, limit: int = 50_000_000) -> np.ndarray:
     parts = [t for t in parts if t.num_rows and column in t.column_names]
     if not parts:
         return np.empty(0, dtype=object)
-    keys = pa.concat_tables(parts).column(column).to_numpy(zero_copy_only=False)
-    return np.sort(keys)
+    return sorted_keys(pa.concat_tables(parts).column(column))
 
 
-def broadcast_semi_join(ds, keys: np.ndarray, left_key: str, anti: bool = False):
-    """Semi-join (`anti=False`: keep rows whose key IS in `keys`) or
-    anti-join (`anti=True`: keep rows whose key is NOT in `keys`) against a
-    broadcast sorted key array. The key set ships ONCE via ray.put; each
-    batch filters with one vectorized searchsorted — no shuffle of the
-    probe side at all."""
+def broadcast_semi_join(ds, keys, left_key: str, anti: bool = False):
+    """Broadcast regime of the semi-join: `keys` (numpy or Arrow; nulls and
+    duplicates ignored) ship ONCE via ray.put as a `sorted_keys` array and
+    each probe batch filters with `is_member` — no shuffle of the probe
+    side. Contract in the module docstring."""
     import ray
 
-    keys_ref = ray.put(np.asarray(keys))
+    if not isinstance(keys, (pa.Array, pa.ChunkedArray)):
+        keys = pa.array(np.asarray(keys))
+    keys_ref = ray.put(sorted_keys(keys))
 
     def fil(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or left_key not in batch.column_names:
             return batch
-        ks = ray.get(keys_ref)
-        lk = batch.column(left_key).to_numpy(zero_copy_only=False)
-        if len(ks) == 0:
-            mask = np.zeros(len(lk), dtype=bool)
-        else:
-            idx = np.clip(np.searchsorted(ks, lk), 0, len(ks) - 1)
-            mask = ks[idx] == lk
+        mask = is_member(ray.get(keys_ref), batch.column(left_key))
         return batch.filter(pa.array(~mask if anti else mask))
 
     return ds.map_batches(fil, batch_format="pyarrow")
@@ -132,7 +159,7 @@ def _schema_once(ds):
     """(ds, schema) without a `limit=1` execution of a lazy `ds`'s
     upstream: the schema Ray already knows, else `ds` materialized once
     (the exchange consumes it anyway) and its schema read from the block
-    metadata."""
+    metadata. The schema may be None when `ds` has no rows."""
     schema = ds.schema(fetch_if_missing=False)
     if schema is None:
         ds = ds.materialize()
@@ -140,73 +167,107 @@ def _schema_once(ds):
     return ds, schema
 
 
-def shuffle_semi_join(
-    ds, build_ds, left_key: str, build_key: str, anti: bool = False, n_parts=None
+def coarse_semi_join(
+    ds,
+    key_column: str,
+    keys_ds,
+    schema,
+    keys_column: str | None = None,
+    n_parts: int | None = None,
+    anti: bool = False,
 ):
-    """Reduce-side semi/anti join for build sides too big to broadcast: tag
-    probe and build rows, ONE coarse exchange on hash(key) % P, then a
-    vectorized membership filter per partition. Build rows ship only their
-    key column; probe rows ship whole (inherent — they are the output).
+    """Exchange regime of the semi-join: keep `ds` rows whose `key_column`
+    value appears (`anti=True`: does not appear) anywhere in
+    `keys_ds[keys_column]`. ONE coarse exchange on hash(key) % P over the
+    union of probe rows and slim key rows; each partition filters its probe
+    rows with `is_member`. Nothing proportional to the key volume touches
+    the driver. `schema` is `ds`'s schema, Arrow or a Ray Data one with
+    Arrow types (callers know it; asking the Dataset would force
+    execution); its names and types are the output schema.
 
-    Partitioning assumption: all rows of one key land in one partition
-    (guaranteed by the hash); a partition's rows fit in a worker's heap."""
-    import pandas as pd
+    Integer keys travel as int64 so build keys of another width compare by
+    value. The semi-join drops null-key probe rows before the exchange;
+    the anti-join carries them (null keys share one partition) and keeps
+    them."""
+    import pyarrow.compute as pc
 
     from opentapioca_ray.stages.exchange import coarse_group_apply
 
-    # both union legs must share the probe schema (Ray 2.49 shuffles choke
-    # on heterogenous blocks); build rows carry nulls in every payload column
-    ds, schema = _schema_once(ds)
-    probe_fields = list(zip(schema.names, schema.types))
-
-    def tag_probe(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "__side", pa.array(np.zeros(batch.num_rows, dtype=np.int8))
-        )
-
-    def tag_build(batch: pa.Table) -> pa.Table:
-        if build_key not in batch.column_names:
-            return batch
-        n = batch.num_rows
-        cols = {}
-        for name, typ in probe_fields:
-            if name == left_key:
-                cols[name] = batch.column(build_key).cast(typ)
-            else:
-                cols[name] = pa.nulls(n, typ)
-        out = pa.table(cols)
-        return out.append_column("__side", pa.array(np.ones(n, dtype=np.int8)))
-
-    probe = ds.map_batches(tag_probe, batch_format="pyarrow")
-    build = build_ds.select_columns([build_key]).map_batches(
-        tag_build, batch_format="pyarrow"
+    keys_column = keys_column or key_column
+    out_schema = pa.schema(list(zip(schema.names, schema.types)))
+    key_type = out_schema.field(key_column).type
+    if pa.types.is_integer(key_type) and key_type != pa.uint64():
+        key_type = pa.int64()
+    union_schema = pa.schema(
+        [
+            (name, key_type if name == key_column else typ)
+            for name, typ in zip(out_schema.names, out_schema.types)
+        ]
+        + [("__is_key", pa.bool_())]
     )
-    both = probe.union(build)
 
-    def filter_partition(df: pd.DataFrame) -> pd.DataFrame:
-        if df.empty or "__side" not in df.columns:
-            return df
-        build_keys = df.loc[df["__side"] == 1, left_key].unique()
-        probe_rows = df[df["__side"] == 0].drop(columns="__side")
-        mask = probe_rows[left_key].isin(build_keys)
-        return probe_rows[~mask if anti else mask]
+    def data_rows(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or key_column not in batch.column_names:
+            return union_schema.empty_table()
+        if not anti and batch.column(key_column).null_count:
+            batch = batch.filter(pc.is_valid(batch.column(key_column)))
+        cols = {name: batch.column(name) for name in out_schema.names}
+        cols["__is_key"] = pa.array(np.zeros(batch.num_rows, dtype=bool))
+        return pa.table(cols).cast(union_schema)
 
-    return coarse_group_apply(both, left_key, filter_partition, n_parts=n_parts)
+    def key_rows(batch: pa.Table) -> pa.Table:
+        if batch.num_rows == 0 or keys_column not in batch.column_names:
+            return union_schema.empty_table()
+        keys = batch.column(keys_column).drop_null()
+        n = len(keys)
+        cols = {
+            name: keys.cast(typ) if name == key_column else pa.nulls(n, type=typ)
+            for name, typ in zip(union_schema.names, union_schema.types)
+        }
+        cols["__is_key"] = pa.array(np.ones(n, dtype=bool))
+        return pa.table(cols).cast(union_schema)
+
+    unioned = ds.map_batches(data_rows, batch_format="pyarrow").union(
+        keys_ds.map_batches(key_rows, batch_format="pyarrow")
+    )
+
+    def filter_partition(t: pa.Table) -> pa.Table:
+        if t.num_rows == 0 or "__is_key" not in t.column_names:
+            return out_schema.empty_table()
+        isk = t.column("__is_key")
+        data = t.filter(pc.invert(isk))
+        mask = is_member(
+            sorted_keys(t.filter(isk).column(key_column)), data.column(key_column)
+        )
+        kept = data.filter(pa.array(~mask if anti else mask))
+        return kept.select(out_schema.names).cast(out_schema)
+
+    return coarse_group_apply(
+        unioned, key_column, filter_partition, n_parts=n_parts,
+        batch_format="pyarrow",
+    )
 
 
 _SEMI_BROADCAST_LIMIT = 5_000_000
 
 
 def semi_join(ds, build_ds, left_key: str, build_key: str, anti: bool = False):
-    """Scale-adaptive semi/anti join: broadcast the deduped build-key set
-    while it holds at most `_SEMI_BROADCAST_LIMIT` keys (`distinct_keys` +
-    `broadcast_semi_join` — no probe shuffle), else ONE coarse exchange
-    (`shuffle_semi_join`). Tests reach the exchange by monkeypatching the
-    limit to 0."""
+    """Scale-adaptive semi/anti join: the broadcast regime
+    (`distinct_keys` + `broadcast_semi_join`, no probe shuffle) while the
+    build side holds at most `_SEMI_BROADCAST_LIMIT` distinct keys, else
+    the exchange regime (`coarse_semi_join`). Both give the same rows and
+    the probe schema. Tests reach the exchange by monkeypatching the limit
+    below 0."""
     try:
         keys = distinct_keys(build_ds, build_key, limit=_SEMI_BROADCAST_LIMIT)
     except ValueError:
-        return shuffle_semi_join(ds, build_ds, left_key, build_key, anti)
+        ds, schema = _schema_once(ds)
+        if schema is None:  # no probe rows
+            return ds
+        return coarse_semi_join(
+            ds, left_key, build_ds.select_columns([build_key]), schema,
+            keys_column=build_key, anti=anti,
+        )
     return broadcast_semi_join(ds, keys, left_key, anti)
 
 
@@ -222,7 +283,7 @@ def shuffle_join(
     """Reduce-side equi-join for two BIG tables (neither side broadcastable):
     tag probe and build rows, pad both legs to one shared schema (Ray 2.49
     shuffles choke on heterogeneous union blocks), ONE coarse exchange on
-    hash(key) % P, then a vectorized pandas merge per partition. Build rows
+    hash(key) % P, then pyarrow's hash join per partition. Build rows
     ship only key + payload columns; m:n keys fan out exactly like SQL.
 
     Partitioning assumption: all rows of one key land in one partition
@@ -379,7 +440,8 @@ def bloom_semi_join(
     def build_bitmap(batch: pa.Table) -> pa.Table:
         bm = np.zeros(n_bits // 8, dtype=np.uint8)
         if batch.num_rows and build_key in batch.column_names:
-            pos = _bloom_positions(batch.column(build_key), n_bits, n_hashes)
+            keys = batch.column(build_key).drop_null()
+            pos = _bloom_positions(keys, n_bits, n_hashes)
             np.bitwise_or.at(
                 bm,
                 pos >> 3,
@@ -399,10 +461,16 @@ def bloom_semi_join(
     bm_ref = ray.put(bm)
 
     def bloom_mask(batch: pa.Table) -> np.ndarray:
+        # a null probe key is a definite non-member; the others are hashed
+        # null-free (a nullable int column would reach numpy as float64)
         bitmap = ray.get(bm_ref)
-        pos = _bloom_positions(batch.column(left_key), n_bits, n_hashes)
+        col = batch.column(left_key)
+        valid = col.is_valid().to_numpy(zero_copy_only=False)
+        pos = _bloom_positions(col.drop_null(), n_bits, n_hashes)
         bits = (bitmap[pos >> 3] >> (pos & 7).astype(np.uint8)) & 1
-        return bits.all(axis=1)
+        mask = np.zeros(batch.num_rows, dtype=bool)
+        mask[valid] = bits.all(axis=1)
+        return mask
 
     def keep_members(batch: pa.Table) -> pa.Table:
         if batch.num_rows == 0 or left_key not in batch.column_names:
@@ -558,15 +626,9 @@ def bloom_semijoin(
         data = t.filter(pa.array(~isk))
         if data.num_rows == 0:
             return out_schema.empty_table()
-        ks = np.unique(
-            t.filter(pa.array(isk)).column("__k").to_numpy(zero_copy_only=False)
+        match = is_member(
+            sorted_keys(t.filter(pa.array(isk)).column("__k")), data.column("__k")
         )
-        dk = data.column("__k").to_numpy(zero_copy_only=False)
-        if len(ks):
-            idx = np.clip(np.searchsorted(ks, dk), 0, len(ks) - 1)
-            match = ks[idx] == dk
-        else:
-            match = np.zeros(len(dk), dtype=bool)
         cols = {c: data.column(c) for c in out_columns}
         cols["is_match"] = pa.array(match.astype(np.int64))
         return pa.table(cols).cast(out_schema)

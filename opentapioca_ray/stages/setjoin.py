@@ -258,11 +258,8 @@ def prefix_filter_pairs(
     import ray
     import ray.data
 
-    from opentapioca_ray.stages.exchange import (
-        coarse_group_apply,
-        coarse_groupby_agg,
-        coarse_semi_join,
-    )
+    from opentapioca_ray.stages.exchange import coarse_group_apply, coarse_groupby_agg
+    from opentapioca_ray.stages.relational import coarse_semi_join
     from opentapioca_ray.stages.selection import global_top_k
 
     n_docs = ds.count()  # metadata count for sourced reads

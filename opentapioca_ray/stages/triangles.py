@@ -1211,15 +1211,14 @@ def ktruss_edges(
 #: the salted exchange fanned out to. Tests assert the plan is bounded.
 BUTTERFLY_TELEMETRY = {"hubs": 0, "chunk_tasks": 0, "max_chunks": 0}
 
+# butterfly hub guard: right nodes above `_HUB_DEGREE_THRESHOLD` are
+# salted into chunks of `_HUB_CHUNK_SIZE` left neighbours. Tests
+# monkeypatch both to force or forbid salting.
+_HUB_DEGREE_THRESHOLD = 8192
+_HUB_CHUNK_SIZE = 4096
 
-def butterfly_count(
-    ds,
-    left_column: str,
-    right_column: str,
-    n_parts=None,
-    hub_degree_threshold: int = 8192,
-    hub_chunk_size: int = 4096,
-):
+
+def butterfly_count(ds, left_column: str, right_column: str, n_parts=None):
     """Bipartite butterfly (4-cycle) census — the bipartite analogue of
     the triangle count (Wang et al., "Butterfly Counting in Bipartite
     Networks"): one summary row (n_edges, n_wedges, n_left_pairs,
@@ -1243,15 +1242,15 @@ def butterfly_count(
     Hub guard (exactness-preserving salting): a right node of degree d
     emits C(d, 2) wedge pairs, and without a guard all of them would
     materialize inside ONE census-side allocation for that node's kernel.
-    Any right node with degree > `hub_degree_threshold` is instead
+    Any right node with degree > `_HUB_DEGREE_THRESHOLD` is instead
     SALTED: the fused kernel emits NO pairs for it (just a stat row); a
     hub-only second pass over the materialized edge list replicates each
-    hub edge to its m = ceil(d / hub_chunk_size) chunk-pair keys
+    hub edge to its m = ceil(d / _HUB_CHUNK_SIZE) chunk-pair keys
     (h, min(c, x), max(c, x)); the (h, i, i) kernel emits within-chunk
     pairs and each (h, i, j≠i) kernel only cross-chunk pairs, so every
     unordered pair lands in exactly ONE kernel (the pair-key stream is
     identical to the unsalted one) and per-kernel allocation is bounded
-    by ~(2·hub_chunk_size)² candidates regardless of hub degree. The
+    by ~(2·_HUB_CHUNK_SIZE)² candidates regardless of hub degree. The
     hub pass only exists when a hub does — zero marginal cost on
     hub-free graphs beyond a vectorized segment-length compare — and
     only the per-hub stat rows (≤ |E|/threshold) plus one edge-count row
@@ -1269,6 +1268,10 @@ def butterfly_count(
         coarse_group_apply,
         segment_starts,
     )
+
+    # read on the driver: the partition kernels close over these values
+    hub_degree_threshold = _HUB_DEGREE_THRESHOLD
+    hub_chunk_size = _HUB_CHUNK_SIZE
 
     out_schema = pa.schema(
         [

@@ -12,15 +12,23 @@ import pandas as pd
 import pytest
 
 
-def _run(df, **kw):
+def _guard(monkeypatch, threshold, chunk=4096):
+    """Set the hub guard's module constants for the next census."""
+    from opentapioca_ray.stages import triangles
+
+    monkeypatch.setattr(triangles, "_HUB_DEGREE_THRESHOLD", threshold)
+    monkeypatch.setattr(triangles, "_HUB_CHUNK_SIZE", chunk)
+
+
+def _run(df):
     import ray.data
 
     from opentapioca_ray.stages.triangles import butterfly_count
 
-    return butterfly_count(ray.data.from_pandas(df), "l", "r", **kw).to_pandas()
+    return butterfly_count(ray.data.from_pandas(df), "l", "r").to_pandas()
 
 
-def test_salted_matches_unsalted_random(ray_session):
+def test_salted_matches_unsalted_random(ray_session, monkeypatch):
     """Exactness property: heavy salting (threshold 8, chunk 4 — many hubs,
     many chunk-pair kernels) must reproduce the unsalted census bit-for-bit
     on a random bipartite multigraph."""
@@ -33,15 +41,17 @@ def test_salted_matches_unsalted_random(ray_session):
             "r": rng.integers(0, 40, size=3000),
         }
     )
-    base = _run(df, hub_degree_threshold=10**9)
+    _guard(monkeypatch, 10**9)
+    base = _run(df)
     assert triangles.BUTTERFLY_TELEMETRY["hubs"] == 0
-    salted = _run(df, hub_degree_threshold=8, hub_chunk_size=4)
+    _guard(monkeypatch, 8, 4)
+    salted = _run(df)
     assert triangles.BUTTERFLY_TELEMETRY["hubs"] > 0
     assert triangles.BUTTERFLY_TELEMETRY["chunk_tasks"] > 0
     pd.testing.assert_frame_equal(base, salted)
 
 
-def test_planted_hub_bounded_and_exact(ray_session):
+def test_planted_hub_bounded_and_exact(ray_session, monkeypatch):
     """Planted 6000-degree hub (deg >> chunk size): the salted path must
     fan its C(6000,2) ≈ 18M wedge pairs across ceil(6000/512)=12-chunk
     pair kernels (78 tasks, each bounded by ~(2·512)² candidates instead
@@ -58,7 +68,8 @@ def test_planted_hub_bounded_and_exact(ray_session):
             "r": [0] * n + [1] * 4 + [2] * 2,
         }
     )
-    out = _run(df, hub_degree_threshold=1000, hub_chunk_size=512)
+    _guard(monkeypatch, 1000, 512)
+    out = _run(df)
     tel = triangles.BUTTERFLY_TELEMETRY
     assert tel["hubs"] == 1
     assert tel["max_chunks"] == 12  # ceil(6000/512)
@@ -86,7 +97,7 @@ def test_hub_plan_arithmetic_50k():
     assert deg * (deg - 1) // 2 > 1_200_000_000  # what the guard avoids
 
 
-def test_forced_salting_matches_sql_oracle_graph(ray_session):
+def test_forced_salting_matches_sql_oracle_graph(ray_session, monkeypatch):
     """Forced salting on the real sf0.001 part-supplier graph (threshold 2,
     chunk 4 -> every multi-edge right node salted, ~12k chunk-pair kernels)
     must reproduce the unsalted census exactly — the strongest end-to-end
@@ -103,13 +114,11 @@ def test_forced_salting_matches_sql_oracle_graph(ray_session):
     from opentapioca_ray.stages.triangles import butterfly_count
 
     li = read_sized(f"{sf}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-    base = butterfly_count(
-        li, "l_partkey", "l_suppkey", hub_degree_threshold=10**9
-    ).to_pandas()
+    _guard(monkeypatch, 10**9)
+    base = butterfly_count(li, "l_partkey", "l_suppkey").to_pandas()
     li2 = read_sized(f"{sf}/lineitem.parquet", columns=["l_partkey", "l_suppkey"])
-    salted = butterfly_count(
-        li2, "l_partkey", "l_suppkey", hub_degree_threshold=2, hub_chunk_size=4
-    ).to_pandas()
+    _guard(monkeypatch, 2, 4)
+    salted = butterfly_count(li2, "l_partkey", "l_suppkey").to_pandas()
     assert triangles.BUTTERFLY_TELEMETRY["hubs"] > 0
     assert triangles.BUTTERFLY_TELEMETRY["chunk_tasks"] > 1000
     pd.testing.assert_frame_equal(base, salted)
