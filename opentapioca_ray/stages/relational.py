@@ -126,7 +126,8 @@ def distinct_keys(ds, column: str, limit: int = 50_000_000) -> np.ndarray:
     ).materialize()  # one execution serves both the guard and the collect
     if dedup.count() > limit:
         raise ValueError(
-            f"distinct({column}) exceeds broadcast limit {limit}; use a shuffle semi-join"
+            f"distinct({column}) exceeds broadcast limit {limit}; "
+            "use the exchange regime (coarse_semi_join)"
         )
     parts = list(arrow_blocks(dedup))
     parts = [t for t in parts if t.num_rows and column in t.column_names]

@@ -1,8 +1,9 @@
 """Relational joins: broadcast and shuffle equi-joins, the semi-join
 contract in both regimes and under the Bloom pre-pass, division."""
 
+import itertools
+
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -235,14 +236,23 @@ def _contract_tables(key: str, case: str):
     return probe, build
 
 
+def _contract_rows(tables) -> list:
+    """The (k, payload, tag) rows of `tables`, sorted (nulls included)."""
+    cols = ("k", "payload", "tag")
+    return sorted(
+        (r for t in tables for r in zip(*(t.column(c).to_pylist() for c in cols))),
+        key=repr,
+    )
+
+
 def _not_exists_model(probe: pa.Table, build: pa.Table, anti: bool) -> list:
     """pandas model of the contract: a probe row matches when its key is
     non-null and equals some non-null build key (SQL `EXISTS`); the
     anti-join keeps exactly the rows that do not match (`NOT EXISTS`).
-    Returns the kept probe rows as sorted (k, payload, tag) tuples."""
+    Returns the kept probe rows as `_contract_rows`."""
     exists = probe.to_pandas()["k"].isin(build.to_pandas()["bk"].dropna())
-    kept = probe.filter(pa.array((~exists if anti else exists).to_numpy(dtype=bool)))
-    return sorted(zip(*(kept.column(c).to_pylist() for c in ("k", "payload", "tag"))), key=repr)
+    keep = (~exists if anti else exists).to_numpy(dtype=bool)
+    return _contract_rows([probe.filter(pa.array(keep))])
 
 
 @pytest.mark.parametrize(
@@ -259,8 +269,8 @@ def test_semi_join_contract(ray_session, monkeypatch, op, regime):
     either) give the pandas `NOT EXISTS` model's rows for int64 keys, an
     int32 probe against an int64 build, and string keys, with nulls and
     duplicate keys on both sides, an empty build and an empty probe; every
-    output block that has a schema has exactly the probe schema. All failing cases are
-    reported together."""
+    output block that has a schema has exactly the probe schema. All
+    failing cases are reported together."""
     from opentapioca_ray.stages import relational
     from opentapioca_ray.stages.exchange import arrow_blocks, driver_dataset
 
@@ -270,8 +280,12 @@ def test_semi_join_contract(ray_session, monkeypatch, op, regime):
         relational._SEMI_BROADCAST_LIMIT if regime == "broadcast" else -1,
     )
     failures = []
+    cases = ("probe_nulls", "build_nulls", "both_nulls", "empty_build", "empty_probe")
+    # Bloom filters: 64 bits (saturated, the exact verify decides) and 4096
+    # bits (selective, the hashes decide)
+    bits = (None,) if op == "semi_join" else (1 << 6, 1 << 12)
     for key in ("int64", "int32", "string"):
-        for case in ("probe_nulls", "build_nulls", "both_nulls", "empty_build", "empty_probe"):
+        for case in cases:
             probe, build = _contract_tables(key, case)
             # three probe blocks: nulls land in some blocks and not others
             third = -(-probe.num_rows // 3)
@@ -279,17 +293,13 @@ def test_semi_join_contract(ray_session, monkeypatch, op, regime):
                 [probe.slice(i * third, third) for i in range(3)]
             )
             build_ds = driver_dataset(build)
-            # Bloom filters: 64 bits (saturated, the exact verify decides)
-            # and 4096 bits (selective, the hashes decide)
-            for anti, n_bits in [
-                (anti, n_bits)
-                for anti in (False, True)
-                for n_bits in ((None,) if op == "semi_join" else (1 << 6, 1 << 12))
-            ]:
+            for anti, n_bits in itertools.product((False, True), bits):
                 name = f"{key}/{case}/{'anti' if anti else 'semi'}/{n_bits}"
                 try:
                     if op == "semi_join":
-                        out = relational.semi_join(probe_ds, build_ds, "k", "bk", anti=anti)
+                        out = relational.semi_join(
+                            probe_ds, build_ds, "k", "bk", anti=anti
+                        )
                     else:
                         out = relational.bloom_semi_join(
                             probe_ds, build_ds, "k", "bk", anti=anti, n_bits=n_bits
@@ -307,12 +317,7 @@ def test_semi_join_contract(ray_session, monkeypatch, op, regime):
                 if bad:
                     failures.append(f"{name}: schema {bad[0]} != {probe.schema}")
                     continue
-                rows = sorted(
-                    (r for b in blocks for r in zip(
-                        *(b.column(c).to_pylist() for c in ("k", "payload", "tag"))
-                    )),
-                    key=repr,
-                )
+                rows = _contract_rows(blocks)
                 want = _not_exists_model(probe, build, anti)
                 if rows != want:
                     failures.append(f"{name}: rows {rows[:4]}... != {want[:4]}...")
@@ -327,7 +332,9 @@ def test_semi_joins_defined_only_in_relational():
     import pathlib
 
     root = pathlib.Path(__file__).resolve().parents[1]
-    paths = [root / "__ray_entry__.py", *sorted((root / "opentapioca_ray").rglob("*.py"))]
+    paths = [
+        root / "__ray_entry__.py", *sorted((root / "opentapioca_ray").rglob("*.py"))
+    ]
     defs = []
     for path in paths:
         if path == root / "opentapioca_ray" / "stages" / "relational.py":
